@@ -103,11 +103,11 @@ TemplateAdapter::TemplateAdapter(EnrolledUser user,
         "TemplateAdapter: third-party negative pool required (retrain "
         "negatives + poisoning-guard probe set)");
   }
-  anchor_entries_.reserve(enrollment_anchors.size());
-  anchor_fulls_.reserve(enrollment_anchors.size());
-  for (const Observation& obs : enrollment_anchors) {
-    anchor_entries_.push_back(extract_observation(obs, options_.enrollment));
-    anchor_fulls_.push_back(anchor_entries_.back().full);
+  anchor_entries_ =
+      extract_observations(enrollment_anchors, options_.enrollment);
+  anchor_fulls_.reserve(anchor_entries_.size());
+  for (const ExtractedEntry& entry : anchor_entries_) {
+    anchor_fulls_.push_back(entry.full);
   }
   // Enrollment-time operating-point reference: the median decision of
   // the enrolled model over its own anchors.  Every refresh is

@@ -185,6 +185,23 @@ ExtractedEntry extract_observation(const Observation& obs,
   return out;
 }
 
+std::vector<ExtractedEntry> extract_observations(
+    const std::vector<Observation>& observations,
+    const EnrollmentConfig& config, std::size_t max_threads) {
+  std::vector<ExtractedEntry> out(observations.size());
+  try {
+    util::parallel_for(
+        observations.size(), /*chunk=*/1,
+        [&](std::size_t i) {
+          out[i] = extract_observation(observations[i], config);
+        },
+        max_threads);
+  } catch (const util::ParallelForError& e) {
+    e.rethrow_cause();
+  }
+  return out;
+}
+
 EnrolledUser enroll_user(const keystroke::Pin& pin,
                          const std::vector<Observation>& positives,
                          const std::vector<Observation>& negatives,
@@ -195,12 +212,8 @@ EnrolledUser enroll_user(const keystroke::Pin& pin,
   if (negatives.empty()) {
     throw std::invalid_argument("enroll_user: no third-party data");
   }
-  std::vector<ExtractedEntry> neg;
-  neg.reserve(negatives.size());
-  for (const auto& o : negatives) {
-    neg.push_back(extract_observation(o, config));
-  }
-  return enroll_user(pin, positives, neg, config);
+  return enroll_user(pin, positives, extract_observations(negatives, config),
+                     config);
 }
 
 EnrolledUser enroll_user(const keystroke::Pin& pin,
@@ -221,11 +234,8 @@ EnrolledUser enroll_user(const keystroke::Pin& pin,
 
   // Extract the user's own entries; the third-party pool arrives already
   // extracted (shared across users in evaluation sweeps).
-  std::vector<ExtractedEntry> pos;
-  pos.reserve(positives.size());
-  for (const auto& o : positives) {
-    pos.push_back(extract_observation(o, config));
-  }
+  const std::vector<ExtractedEntry> pos =
+      extract_observations(positives, config);
 
   // --- Full-waveform model (one-handed case). ---
   if (config.train_full_model) {

@@ -171,6 +171,15 @@ struct ExtractedEntry {
 ExtractedEntry extract_observation(const Observation& obs,
                                    const EnrollmentConfig& config);
 
+// extract_observation over a batch on the shared thread pool: entry i is
+// observations[i]'s, bit-identical for any thread count.  `max_threads`
+// follows the util::parallel_for convention (0 = the resolve_threads
+// default).  A malformed observation throws extract_observation's own
+// exception (std::invalid_argument), not util::ParallelForError.
+std::vector<ExtractedEntry> extract_observations(
+    const std::vector<Observation>& observations,
+    const EnrollmentConfig& config, std::size_t max_threads = 0);
+
 // Enrolls a user from their own entries (`positives`) and the third-party
 // pool (`negatives`).  For the standard mode, positives should all enter
 // `pin`; for the no-PIN mode pass an empty `pin` and positives covering

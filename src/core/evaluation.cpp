@@ -199,11 +199,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // differ only in model seed and privacy-boost flag), so every user
   // trains on bit-identical extracted negatives.  Turns O(users x pool)
   // extraction work into O(pool).
-  std::vector<ExtractedEntry> extracted_negatives;
-  extracted_negatives.reserve(negatives.size());
-  for (const Observation& o : negatives) {
-    extracted_negatives.push_back(extract_observation(o, config.enrollment));
-  }
+  const std::vector<ExtractedEntry> extracted_negatives = extract_observations(
+      negatives, config.enrollment, util::resolve_threads(config.threads));
 
   ExperimentResult result;
   result.per_user.resize(population.users.size());

@@ -61,9 +61,10 @@ struct ExperimentConfig {
   EnrollmentConfig enrollment{};
   AuthOptions auth{};
   std::uint64_t seed = 2023;
-  // Parallelism of the per-user sweep on the shared pool; 0 = the
-  // util::resolve_threads default (P2AUTH_THREADS, else all hardware
-  // threads).  Results are identical for every value (see thread_pool.hpp).
+  // Parallelism of the third-party pool extraction and the per-user sweep
+  // on the shared pool; 0 = the util::resolve_threads default
+  // (P2AUTH_THREADS, else all hardware threads).  Results are identical
+  // for every value (see thread_pool.hpp).
   std::size_t threads = 0;
   // Called at the start of each user's evaluation (possibly from a pool
   // worker; distinct users may call it concurrently).  Intended for

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "backend/policy.hpp"
+#include "util/thread_pool.hpp"
 
 namespace p2auth::linalg {
 
@@ -80,12 +81,19 @@ Vector Matrix::multiply_transposed(std::span<const double> v) const {
 
 Matrix Matrix::gram_rows() const {
   Matrix g(rows_, rows_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t j = i; j < rows_; ++j) {
-      const double v = dot(row(i), row(j));
-      g(i, j) = v;
-      g(j, i) = v;
-    }
+  // One pool task per row i of the upper triangle: it writes g(i, j) and
+  // the mirror g(j, i) for j >= i, slots no other task touches.  Every
+  // entry is one dot call, so g is bit-identical for any thread count.
+  try {
+    util::parallel_for(rows_, /*chunk=*/1, [&](std::size_t i) {
+      for (std::size_t j = i; j < rows_; ++j) {
+        const double v = dot(row(i), row(j));
+        g(i, j) = v;
+        g(j, i) = v;
+      }
+    });
+  } catch (const util::ParallelForError& e) {
+    e.rethrow_cause();
   }
   return g;
 }

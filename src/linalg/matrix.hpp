@@ -59,7 +59,9 @@ class Matrix {
   // this^T * v (without materialising the transpose).
   Vector multiply_transposed(std::span<const double> v) const;
 
-  // Gram matrix this * this^T (rows x rows), exploiting symmetry.
+  // Gram matrix this * this^T (rows x rows), exploiting symmetry.  Rows
+  // of the upper triangle are built on the shared thread pool; the result
+  // is bit-identical for any thread count.
   Matrix gram_rows() const;
   // this^T * this (cols x cols), exploiting symmetry.
   Matrix gram_cols() const;

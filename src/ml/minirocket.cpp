@@ -330,13 +330,28 @@ MiniRocket::MiniRocket(MiniRocketOptions options) : options_(options) {
 
 void MiniRocket::fit(const std::vector<Series>& train, util::Rng& rng) {
   const obs::Span span("minirocket.fit", "ml");
+  std::vector<const Series*> ptrs(train.size());
+  for (std::size_t i = 0; i < train.size(); ++i) ptrs[i] = &train[i];
+  const std::vector<const Series*> samples = plan_fit(ptrs, rng);
+  try {
+    util::parallel_for(samples.size(), /*chunk=*/1, [&](std::size_t di) {
+      fit_dilation(di, *samples[di]);
+    });
+  } catch (const util::ParallelForError& e) {
+    e.rethrow_cause();
+  }
+  build_bias_index();
+}
+
+std::vector<const Series*> MiniRocket::plan_fit(
+    std::span<const Series* const> train, util::Rng& rng) {
   if (train.empty()) throw std::invalid_argument("MiniRocket::fit: no data");
-  input_length_ = train.front().size();
+  input_length_ = train.front()->size();
   if (input_length_ < 9) {
     throw std::invalid_argument("MiniRocket::fit: series too short (< 9)");
   }
-  for (const auto& s : train) {
-    if (s.size() != input_length_) {
+  for (const Series* s : train) {
+    if (s->size() != input_length_) {
       throw std::invalid_argument("MiniRocket::fit: unequal series lengths");
     }
   }
@@ -351,62 +366,59 @@ void MiniRocket::fit(const std::vector<Series>& train, util::Rng& rng) {
   }
   if (dilations_.empty()) dilations_.push_back(1);
 
-  const std::size_t num_kernels = minirocket_kernels().size();
-  const std::size_t combos = num_kernels * dilations_.size();
+  const std::size_t combos = minirocket_kernels().size() * dilations_.size();
   if (options_.pooling == Pooling::kMax) {
     // Max pooling emits one feature per combo; bias quantiles are unused
     // but biases_ doubles as the "fitted" flag, so keep one slot each.
     biases_per_combo_ = 1;
     biases_.assign(combos, 0.0);
-    build_bias_index();
-    return;
+    return {};
   }
   biases_per_combo_ =
       std::max<std::size_t>(1, (options_.num_features + combos - 1) / combos);
   biases_.assign(combos * biases_per_combo_, 0.0);
 
-  // Low-discrepancy quantile sequence (golden-ratio spacing), as in the
-  // reference implementation, keeps biases spread without clustering.
-  constexpr double kPhi = 0.6180339887498949;
-  std::vector<double> quantiles(biases_per_combo_);
-  for (std::size_t q = 0; q < biases_per_combo_; ++q) {
-    quantiles[q] = std::fmod(kPhi * static_cast<double>(q + 1), 1.0);
-  }
-
   // Biases come from quantiles of the convolution output on randomly
   // chosen training examples — one example per dilation, shared by the 84
   // kernels of that dilation so the expensive nine-tap sliding sum is
-  // computed once.  The fast kernels run through the same scratch the
-  // transform path uses; their outputs are bit-identical to the old
-  // per-kernel materialization, so fitted biases are unchanged.
+  // computed once.
+  std::vector<const Series*> samples(dilations_.size());
+  for (const Series*& sample : samples) {
+    sample = train[rng.uniform_int(static_cast<std::uint32_t>(train.size()))];
+  }
+  return samples;
+}
+
+void MiniRocket::fit_dilation(std::size_t di, const Series& sample) {
+  // Low-discrepancy quantile sequence (golden-ratio spacing), as in the
+  // reference implementation, keeps biases spread without clustering.
+  constexpr double kPhi = 0.6180339887498949;
+  // The transform path's kernels, on this thread's own scratch: tiles of
+  // one fit may run concurrently on different pool workers.
   TransformScratch& scratch = thread_transform_scratch();
   scratch.reserve(input_length_, biases_per_combo_);
   const backend::KernelTable& kt = backend::kernels();
   const auto n = static_cast<long long>(input_length_);
-  for (std::size_t di = 0; di < dilations_.size(); ++di) {
-    const Series& sample =
-        train[rng.uniform_int(static_cast<std::uint32_t>(train.size()))];
-    kt.nine_tap_sum(sample.data(), n, dilations_[di], scratch.sum9.data());
-    for (std::size_t ki = 0; ki < num_kernels; ++ki) {
-      const std::array<int, 3>& k = minirocket_kernels()[ki];
-      kt.kernel_conv(sample.data(), n, scratch.sum9.data(), k[0], k[1], k[2],
-                     dilations_[di], scratch.conv.data());
-      double* const sorted = scratch.sorted.data();
-      std::copy(scratch.conv.data(), scratch.conv.data() + n, sorted);
-      std::sort(sorted, sorted + n);
-      const std::size_t combo = ki * dilations_.size() + di;
-      for (std::size_t q = 0; q < biases_per_combo_; ++q) {
-        const double rank =
-            quantiles[q] * static_cast<double>(input_length_ - 1);
-        const auto lo = static_cast<std::size_t>(std::floor(rank));
-        const std::size_t hi = std::min(lo + 1, input_length_ - 1);
-        const double frac = rank - static_cast<double>(lo);
-        biases_[combo * biases_per_combo_ + q] =
-            sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-      }
+  const std::size_t num_kernels = minirocket_kernels().size();
+  kt.nine_tap_sum(sample.data(), n, dilations_[di], scratch.sum9.data());
+  for (std::size_t ki = 0; ki < num_kernels; ++ki) {
+    const std::array<int, 3>& k = minirocket_kernels()[ki];
+    kt.kernel_conv(sample.data(), n, scratch.sum9.data(), k[0], k[1], k[2],
+                   dilations_[di], scratch.conv.data());
+    double* const sorted = scratch.sorted.data();
+    std::copy(scratch.conv.data(), scratch.conv.data() + n, sorted);
+    std::sort(sorted, sorted + n);
+    const std::size_t combo = ki * dilations_.size() + di;
+    for (std::size_t q = 0; q < biases_per_combo_; ++q) {
+      const double quantile = std::fmod(kPhi * static_cast<double>(q + 1), 1.0);
+      const double rank = quantile * static_cast<double>(input_length_ - 1);
+      const auto lo = static_cast<std::size_t>(std::floor(rank));
+      const std::size_t hi = std::min(lo + 1, input_length_ - 1);
+      const double frac = rank - static_cast<double>(lo);
+      biases_[combo * biases_per_combo_ + q] =
+          sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
     }
   }
-  build_bias_index();
 }
 
 void MiniRocket::build_bias_index() {
@@ -613,14 +625,36 @@ void MultiChannelMiniRocket::fit(
   per_channel_options.num_features =
       std::max<std::size_t>(84, options_.num_features / channels);
   per_channel_.assign(channels, MiniRocket(per_channel_options));
-  std::vector<Series> channel_train(train.size());
+  // Serial and in channel order: fork each channel's RNG and draw its
+  // dilations' training examples.  Then every (channel, dilation) tile
+  // fits on the pool, each writing only its own combos' biases.
+  struct Tile {
+    std::size_t channel = 0;
+    std::size_t dilation = 0;
+  };
+  std::vector<Tile> tiles;
+  std::vector<std::vector<const Series*>> samples(channels);
+  std::vector<const Series*> channel_train(train.size());
   for (std::size_t c = 0; c < channels; ++c) {
     for (std::size_t i = 0; i < train.size(); ++i) {
-      channel_train[i] = train[i][c];
+      channel_train[i] = &train[i][c];
     }
     util::Rng channel_rng = rng.fork(0xABCD1234ULL + c);
-    per_channel_[c].fit(channel_train, channel_rng);
+    samples[c] = per_channel_[c].plan_fit(channel_train, channel_rng);
+    for (std::size_t di = 0; di < samples[c].size(); ++di) {
+      tiles.push_back({c, di});
+    }
   }
+  try {
+    util::parallel_for(tiles.size(), /*chunk=*/1, [&](std::size_t t) {
+      const Tile& tile = tiles[t];
+      per_channel_[tile.channel].fit_dilation(
+          tile.dilation, *samples[tile.channel][tile.dilation]);
+    });
+  } catch (const util::ParallelForError& e) {
+    e.rethrow_cause();
+  }
+  for (MiniRocket& mr : per_channel_) mr.build_bias_index();
 }
 
 std::size_t MultiChannelMiniRocket::num_features() const {

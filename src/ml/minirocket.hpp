@@ -102,7 +102,9 @@ class MiniRocket {
 
   // Fits dilations and biases on training series (all series must share
   // one length; empty input throws std::invalid_argument).  `rng` selects
-  // the training examples used for bias quantiles.
+  // the training examples used for bias quantiles.  The dilations fit on
+  // the shared thread pool; the biases are bit-identical for any thread
+  // count.
   void fit(const std::vector<Series>& train, util::Rng& rng);
 
   bool fitted() const noexcept { return !biases_.empty(); }
@@ -180,6 +182,20 @@ class MiniRocket {
   // false against every probe, including +inf and NaN).
   void build_bias_index();
 
+  // fit() in two phases, so MultiChannelMiniRocket can put every
+  // channel's dilations on the pool in one parallel_for.  plan_fit
+  // (serial) validates `train`, sets the dilations and the bias table's
+  // shape, and draws from `rng` the training example of each dilation,
+  // in dilation order; it returns those examples (none for max pooling,
+  // which fits no biases).  fit_dilation computes the bias quantiles of
+  // dilation `di`'s 84 combos from `sample` and writes only their slots,
+  // so distinct dilations may fit concurrently.  build_bias_index()
+  // completes the fit.
+  std::vector<const Series*> plan_fit(std::span<const Series* const> train,
+                                      util::Rng& rng);
+  void fit_dilation(std::size_t di, const Series& sample);
+  friend class MultiChannelMiniRocket;
+
   MiniRocketOptions options_;
   std::size_t input_length_ = 0;
   std::vector<int> dilations_;
@@ -204,7 +220,9 @@ class MultiChannelMiniRocket {
   explicit MultiChannelMiniRocket(MiniRocketOptions options = {});
 
   // train[i] is sample i: one Series per channel (all samples must agree
-  // on channel count and per-channel length).
+  // on channel count and per-channel length).  Every (channel, dilation)
+  // pair fits on the shared thread pool; the biases are bit-identical for
+  // any thread count.
   void fit(const std::vector<std::vector<Series>>& train, util::Rng& rng);
 
   bool fitted() const noexcept { return !per_channel_.empty(); }

@@ -14,10 +14,6 @@ namespace p2auth::obs {
 
 namespace {
 
-// Cap per thread: a runaway loop must not take the process down with it.
-// 64 Ki events is ~6 MiB; overflow increments the drop counter instead.
-constexpr std::size_t kMaxEventsPerThread = 1 << 16;
-
 std::mutex& global_mutex() {
   static std::mutex m;
   return m;
@@ -33,6 +29,25 @@ std::atomic<std::uint64_t>& dropped_counter() {
   return dropped;
 }
 
+// Events currently retained anywhere in the process: the global list
+// plus every thread's buffer.  A span claims its slot when it completes
+// and gives it back only when reset_trace() discards it.
+std::atomic<std::size_t>& retained_counter() {
+  static std::atomic<std::size_t> retained{0};
+  return retained;
+}
+
+// Claims one slot of the process-wide budget; false once it is spent.
+bool claim_slot() {
+  std::atomic<std::size_t>& retained = retained_counter();
+  std::size_t n = retained.load(std::memory_order_relaxed);
+  do {
+    if (n >= kMaxRetainedSpans) return false;
+  } while (!retained.compare_exchange_weak(n, n + 1,
+                                           std::memory_order_relaxed));
+  return true;
+}
+
 struct ThreadLog {
   std::uint32_t thread_id;
   std::uint32_t depth = 0;
@@ -45,6 +60,7 @@ struct ThreadLog {
     (void)global_mutex();
     (void)global_events();
     (void)dropped_counter();
+    (void)retained_counter();
     static std::atomic<std::uint32_t> next_id{1};
     thread_id = next_id.fetch_add(1, std::memory_order_relaxed);
   }
@@ -95,7 +111,7 @@ Span::~Span() {
   const std::int64_t end_us = now_us();
   ThreadLog& log = thread_log();
   --log.depth;
-  if (log.events.size() >= kMaxEventsPerThread) {
+  if (!claim_slot()) {
     dropped_counter().fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -138,11 +154,16 @@ std::uint64_t dropped_span_count() noexcept {
 
 void reset_trace() {
   if constexpr (!kCompiledIn) return;
+  std::size_t released = 0;
   {
     const std::lock_guard<std::mutex> lock(global_mutex());
+    released += global_events().size();
     global_events().clear();
   }
-  thread_log().events.clear();
+  std::vector<SpanEvent>& own = thread_log().events;
+  released += own.size();
+  own.clear();
+  retained_counter().fetch_sub(released, std::memory_order_relaxed);
   dropped_counter().store(0, std::memory_order_relaxed);
 }
 

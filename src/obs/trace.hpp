@@ -10,8 +10,17 @@
 // global list plus the calling thread's buffer, so a single-threaded
 // program (and any program that joins its workers first) always gets a
 // complete trace without synchronisation on the hot path.
+//
+// Memory bound: the whole process retains at most `kMaxRetainedSpans`
+// events, counted across the global list and every thread's buffer.  A
+// span completing past the cap is dropped and counted in
+// `dropped_span_count()`; `reset_trace()` discards the retained events
+// and returns their slots to the budget.  Pool workers flush after every
+// job, so without the shared cap a long-running process would grow the
+// global list without limit.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -21,6 +30,9 @@
 #include "obs/obs.hpp"
 
 namespace p2auth::obs {
+
+// Process-wide cap on retained span events (about 6 MiB of events).
+inline constexpr std::size_t kMaxRetainedSpans = std::size_t{1} << 16;
 
 // One completed span on the shared monotonic timeline (obs::now_us).
 struct SpanEvent {
@@ -66,12 +78,15 @@ void flush_thread_trace();
 // children.  Does not clear anything.
 std::vector<SpanEvent> snapshot_trace();
 
-// Number of events dropped because a thread buffer hit its cap.
+// Number of events dropped because the process-wide cap was reached
+// (since the last reset_trace()).
 std::uint64_t dropped_span_count() noexcept;
 
-// Clears the global list and the calling thread's buffer.  Threads still
-// recording concurrently are unaffected (their later flushes append to
-// the fresh list).
+// Clears the global list and the calling thread's buffer, returning
+// their slots to the process-wide budget, and zeroes the drop count.
+// Threads still recording concurrently are unaffected (their later
+// flushes append to the fresh list, and their buffered events keep
+// their slots until a later reset discards them).
 void reset_trace();
 
 // Chrome trace-event JSON ("X" complete events, timestamps in us).

@@ -3,11 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/authenticator.hpp"
 #include "core/enrollment.hpp"
 #include "sim/attacks.hpp"
 #include "sim/dataset.hpp"
+#include "util/thread_pool.hpp"
 
 namespace p2auth::core {
 namespace {
@@ -18,6 +25,9 @@ struct Fixture {
   EnrolledUser user;
   EnrollmentConfig config;
   util::Rng rng{12345};
+  // enroll_user's inputs, kept for re-enrolling the same user.
+  keystroke::Pin enrolled_pin;
+  std::vector<Observation> positives, negatives;
 
   explicit Fixture(bool privacy_boost = false, bool no_pin = false) {
     sim::PopulationConfig pop_cfg;
@@ -27,7 +37,6 @@ struct Fixture {
     config.privacy_boost = privacy_boost;
 
     sim::TrialOptions options;
-    std::vector<Observation> positives, negatives;
     util::Rng er = rng.fork("enroll");
     if (no_pin) {
       const auto& pins = keystroke::paper_pins();
@@ -48,8 +57,8 @@ struct Fixture {
          sim::make_third_party_pool(population, 60, options, pr)) {
       negatives.push_back({std::move(t.entry), std::move(t.trace)});
     }
-    user = enroll_user(no_pin ? keystroke::Pin() : pin, positives, negatives,
-                       config);
+    enrolled_pin = no_pin ? keystroke::Pin() : pin;
+    user = enroll_user(enrolled_pin, positives, negatives, config);
   }
 
   Observation legit_entry(std::uint64_t seed,
@@ -94,6 +103,100 @@ TEST(Enrollment, ErrorsOnMissingData) {
   EXPECT_THROW(enroll_user(keystroke::Pin("1111"), std::vector<Observation>{},
                            std::vector<Observation>{}, config),
                std::invalid_argument);
+}
+
+// A malformed entry fails extraction on a pool worker; enroll_user must
+// still surface extraction's own std::invalid_argument, not the pool's
+// util::ParallelForError wrapper.
+TEST(Enrollment, MalformedObservationThrowsInvalidArgument) {
+  sim::PopulationConfig pop_cfg;
+  pop_cfg.num_users = 1;
+  pop_cfg.seed = 77;
+  const sim::Population population = sim::make_population(pop_cfg);
+  const keystroke::Pin pin("1628");
+  util::Rng rng(4242);
+  sim::TrialOptions options;
+  std::vector<Observation> positives, negatives;
+  for (sim::Trial& t :
+       sim::make_trials(population.users[0], pin, 3, options, rng)) {
+    positives.push_back({std::move(t.entry), std::move(t.trace)});
+  }
+  for (sim::Trial& t :
+       sim::make_third_party_pool(population, 12, options, rng)) {
+    negatives.push_back({std::move(t.entry), std::move(t.trace)});
+  }
+  EnrollmentConfig config;
+  config.rocket.num_features = 500;
+
+  std::vector<Observation> bad_negatives = negatives;
+  bad_negatives.insert(bad_negatives.begin() + 7, Observation{});
+  EXPECT_THROW(enroll_user(pin, positives, bad_negatives, config),
+               std::invalid_argument);
+  std::vector<Observation> bad_positives = positives;
+  bad_positives.push_back(Observation{});
+  EXPECT_THROW(enroll_user(pin, bad_positives, negatives, config),
+               std::invalid_argument);
+  EXPECT_THROW(extract_observations(bad_negatives, config),
+               std::invalid_argument);
+}
+
+// Bit patterns, so -0.0 vs 0.0 or any last-bit drift fails the match.
+std::vector<std::uint64_t> bits(std::span<const double> values) {
+  std::vector<std::uint64_t> out;
+  out.reserve(values.size());
+  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+void expect_same_model(const std::optional<WaveformModel>& pooled,
+                       const std::optional<WaveformModel>& serial,
+                       const std::string& what) {
+  ASSERT_EQ(pooled.has_value(), serial.has_value()) << what;
+  if (!pooled) return;
+  EXPECT_EQ(bits(pooled->ridge().weights()), bits(serial->ridge().weights()))
+      << what;
+  const double pooled_scalars[] = {pooled->ridge().bias(),
+                                   pooled->ridge().chosen_lambda(),
+                                   pooled->threshold()};
+  const double serial_scalars[] = {serial->ridge().bias(),
+                                   serial->ridge().chosen_lambda(),
+                                   serial->threshold()};
+  EXPECT_EQ(bits(pooled_scalars), bits(serial_scalars)) << what;
+  ASSERT_EQ(pooled->rocket().num_channels(), serial->rocket().num_channels());
+  for (std::size_t c = 0; c < pooled->rocket().num_channels(); ++c) {
+    EXPECT_EQ(bits(pooled->rocket().channel(c).biases()),
+              bits(serial->rocket().channel(c).biases()))
+        << what << " channel " << c;
+  }
+}
+
+// enroll_user on the calling thread runs extraction, the MiniRocket fits
+// and the Gram builds on the pool; inside a pool task every nested
+// parallel_for runs inline, i.e. serially.  Both must train the same bits.
+void expect_pooled_matches_inline(const Fixture& f) {
+  EnrolledUser serial;
+  util::parallel_for(1, 1, [&](std::size_t) {
+    ASSERT_TRUE(util::in_parallel_task());
+    serial = enroll_user(f.enrolled_pin, f.positives, f.negatives, f.config);
+  });
+  expect_same_model(f.user.full_model, serial.full_model, "full");
+  expect_same_model(f.user.boost_model, serial.boost_model, "boost");
+  for (std::size_t k = 0; k < f.user.key_models.size(); ++k) {
+    expect_same_model(f.user.key_models[k], serial.key_models[k],
+                      "key " + std::to_string(k));
+  }
+}
+
+TEST(Enrollment, PooledMatchesInlineForPinUser) {
+  const Fixture f(/*privacy_boost=*/true);
+  ASSERT_TRUE(f.user.boost_model.has_value());
+  expect_pooled_matches_inline(f);
+}
+
+TEST(Enrollment, PooledMatchesInlineForNoPinUser) {
+  const Fixture f(/*privacy_boost=*/false, /*no_pin=*/true);
+  ASSERT_GT(f.user.stats.key_models_trained, 0u);
+  expect_pooled_matches_inline(f);
 }
 
 TEST(Authenticate, AcceptsLegitimateOneHanded) {

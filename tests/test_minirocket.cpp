@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <span>
 #include <sstream>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace p2auth::ml {
 namespace {
@@ -223,6 +227,59 @@ TEST(MultiChannelMiniRocket, UnfittedThrows) {
   EXPECT_FALSE(rocket.fitted());
   EXPECT_THROW(rocket.transform(std::vector<Series>{Series(100, 0.0)}),
                std::logic_error);
+}
+
+// Bit patterns, so a flipped sign of zero fails the match too.
+std::vector<std::uint64_t> bits(std::span<const double> values) {
+  std::vector<std::uint64_t> out;
+  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+// fit draws each dilation's training example serially, then fits the
+// dilations on the thread pool; inside a pool task the same fit runs
+// inline.  Both must give the same dilations and bias bits and leave the
+// caller's RNG in the same state.
+TEST(MiniRocket, PooledFitMatchesInlineFit) {
+  std::vector<Series> train;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    train.push_back(noise_series(300, 80 + i));
+  }
+  MiniRocketOptions options;
+  options.num_features = 2000;
+  MiniRocket pooled(options), serial(options);
+  util::Rng pooled_rng(20), serial_rng(20);
+  pooled.fit(train, pooled_rng);
+  util::parallel_for(1, 1, [&](std::size_t) { serial.fit(train, serial_rng); });
+  ASSERT_GT(pooled.dilations().size(), 1u);
+  EXPECT_EQ(pooled.dilations(), serial.dilations());
+  EXPECT_EQ(bits(pooled.biases()), bits(serial.biases()));
+  EXPECT_EQ(pooled_rng.next_u64(), serial_rng.next_u64());
+}
+
+// The multi-channel fit puts every (channel, dilation) tile on the pool.
+TEST(MultiChannelMiniRocket, PooledFitMatchesInlineFit) {
+  std::vector<std::vector<Series>> train;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    train.push_back({noise_series(300, 90 + 3 * i),
+                     noise_series(300, 91 + 3 * i),
+                     noise_series(300, 92 + 3 * i)});
+  }
+  MiniRocketOptions options;
+  options.num_features = 3000;
+  MultiChannelMiniRocket pooled(options), serial(options);
+  util::Rng pooled_rng(21), serial_rng(21);
+  pooled.fit(train, pooled_rng);
+  util::parallel_for(1, 1, [&](std::size_t) { serial.fit(train, serial_rng); });
+  ASSERT_EQ(pooled.num_channels(), 3u);
+  ASSERT_EQ(serial.num_channels(), 3u);
+  for (std::size_t c = 0; c < pooled.num_channels(); ++c) {
+    EXPECT_EQ(pooled.channel(c).dilations(), serial.channel(c).dilations());
+    EXPECT_EQ(bits(pooled.channel(c).biases()),
+              bits(serial.channel(c).biases()))
+        << "channel " << c;
+  }
+  EXPECT_EQ(pooled_rng.next_u64(), serial_rng.next_u64());
 }
 
 class MiniRocketLengthSweep : public ::testing::TestWithParam<std::size_t> {};

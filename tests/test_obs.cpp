@@ -11,6 +11,7 @@
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace p2auth::obs {
 namespace {
@@ -71,6 +72,35 @@ TEST_F(ObsTest, ResetClearsTrace) {
   EXPECT_EQ(snapshot_trace().size(), 1u);
   reset_trace();
   EXPECT_TRUE(snapshot_trace().empty());
+}
+
+// Pool workers flush their span buffers into the global list after
+// every job.  However many jobs record spans, the process retains at most
+// kMaxRetainedSpans events; the excess is counted as dropped, and
+// reset_trace() returns the budget for new spans.
+TEST_F(ObsTest, PoolJobsStayWithinSpanCap) {
+  constexpr std::size_t kJobs = 8;
+  constexpr std::size_t kSpansPerJob = kMaxRetainedSpans / 4;
+  for (std::size_t job = 0; job < kJobs; ++job) {
+    util::parallel_for(
+        kSpansPerJob, /*chunk=*/256,
+        [](std::size_t) { const Span span("pool.job", "test"); },
+        /*max_threads=*/4);
+  }
+  const std::size_t recorded = kJobs * kSpansPerJob;
+  ASSERT_GT(recorded, kMaxRetainedSpans);
+  EXPECT_EQ(snapshot_trace().size(), kMaxRetainedSpans);
+  EXPECT_EQ(dropped_span_count(), recorded - kMaxRetainedSpans);
+
+  reset_trace();
+  EXPECT_TRUE(snapshot_trace().empty());
+  EXPECT_EQ(dropped_span_count(), 0u);
+  util::parallel_for(
+      1000, /*chunk=*/16,
+      [](std::size_t) { const Span span("after.reset", "test"); },
+      /*max_threads=*/4);
+  EXPECT_EQ(snapshot_trace().size(), 1000u);
+  EXPECT_EQ(dropped_span_count(), 0u);
 }
 
 TEST(ObsChromeTrace, GoldenFormat) {

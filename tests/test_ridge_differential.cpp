@@ -2,8 +2,9 @@
 // backends: dot and axpy must be bit-identical to the scalar backend on
 // every ISA this host can run (the width-4 stripe contract pins the
 // accumulation order), and everything built on them — GEMV, the Gram
-// matrix, the full RidgeClassifier fit across its lambda grid — must
-// therefore produce identical bits whichever backend dispatch picks.
+// matrix (built on the thread pool), the full RidgeClassifier fit across
+// its lambda grid — must therefore produce identical bits whichever
+// backend dispatch picks.
 
 #include "linalg/ridge.hpp"
 
@@ -123,6 +124,42 @@ TEST(RidgeDifferential, GemvBitIdenticalAcrossBackends) {
     for (std::size_t i = 0; i < mtu.size(); ++i) {
       ASSERT_TRUE(same_bits(mtu[i], (*want_mtu)[i]))
           << backend::isa_name(isa) << " multiply_transposed i=" << i;
+    }
+  }
+}
+
+// Matrix::gram_rows builds its rows on the thread pool; every entry must
+// still carry the bits of the serial per-pair linalg::dot loop, whichever
+// backend dispatch picks.  Odd sizes cover the dot kernels' stripe tails
+// and give the pool uneven rows to claim.
+TEST(RidgeDifferential, GramRowsOnPoolMatchesPerPairDotAcrossBackends) {
+  util::Rng rng(0x6a11ULL, 0xaaULL);
+  linalg::Matrix m(37, 103);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t c = 0; c < m.cols(); ++c) m(r, c) = rng.normal();
+  }
+  m(5, 17) = -0.0;
+  linalg::Matrix want(m.rows(), m.rows());
+  {
+    ForcedBackend forced(backend::Isa::kScalar);
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+      for (std::size_t j = i; j < m.rows(); ++j) {
+        const double v = linalg::dot(m.row(i), m.row(j));
+        want(i, j) = v;
+        want(j, i) = v;
+      }
+    }
+  }
+  for (const backend::Isa isa : backend::available_isas()) {
+    ForcedBackend forced(isa);
+    const linalg::Matrix got = m.gram_rows();
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    for (std::size_t i = 0; i < want.rows(); ++i) {
+      for (std::size_t j = 0; j < want.cols(); ++j) {
+        ASSERT_TRUE(same_bits(got(i, j), want(i, j)))
+            << backend::isa_name(isa) << " g(" << i << ", " << j << ")";
+      }
     }
   }
 }

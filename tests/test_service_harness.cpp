@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/enrollment.hpp"
 #include "core/registry.hpp"
 #include "io/binary.hpp"
@@ -27,7 +29,6 @@
 namespace p2auth::service {
 namespace {
 
-constexpr char kStorePath[] = "test_service_harness.p2mdl";
 constexpr std::size_t kNames = 6;
 constexpr std::size_t kRequests = 10;
 
@@ -35,6 +36,13 @@ constexpr std::size_t kRequests = 10;
 // names in an on-disk binary store, plus a seeded request mix (genuine,
 // attacker, unknown-name) and its secret expected digests.
 struct Harness {
+  // Each test runs in its own process under ctest -j, and each maps its
+  // own store: a shared path would let one process truncate the file the
+  // other has mapped (SIGBUS).
+  const std::string store_path =
+      std::string("test_service_harness.") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "." +
+      std::to_string(::getpid()) + ".p2mdl";
   std::vector<keystroke::Pin> pins{keystroke::Pin("1628"),
                                    keystroke::Pin("0852")};
   sim::Population population;
@@ -76,9 +84,9 @@ struct Harness {
       copy.user_id = static_cast<std::uint32_t>(500 + i);
       registry.add(name_of(i), std::move(copy));
     }
-    io::save_user_registry_binary_file(registry, kStorePath);
+    io::save_user_registry_binary_file(registry, store_path);
     source = std::make_shared<MappedRegistrySource>(
-        std::vector<std::string>{kStorePath});
+        std::vector<std::string>{store_path});
 
     // Seeded workload: genuine entries, attacker entries (correct PIN,
     // wrong hand), and one unknown name.
@@ -111,7 +119,7 @@ struct Harness {
     }
   }
 
-  ~Harness() { std::remove(kStorePath); }
+  ~Harness() { std::remove(store_path.c_str()); }
 
   static std::string name_of(std::size_t i) {
     return "tenant" + std::to_string(i);
