@@ -1,8 +1,8 @@
 // AVX2 kernel backend (256-bit, four doubles per vector).  Compiled
 // with -mavx2 -mno-fma -ffp-contract=off: FMA contraction would change
 // rounding and break the bit-identity contract, so multiplies and adds
-// stay separate instructions.  Edges and vector tails run the shared
-// scalar helpers; interiors run four lanes wide in the scalar
+// stay separate instructions.  Convolution edges and vector tails run
+// the shared scalar helpers; interiors run four lanes wide in the scalar
 // per-element operation order.  PPV pooling counts threshold
 // exceedances directly with packed compares (exact integers, so the
 // features stay bit-identical); gathers are deliberately avoided — a
@@ -11,6 +11,8 @@
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 #include "backend/kernels.hpp"
 #include "backend/kernels_detail.hpp"
@@ -76,72 +78,74 @@ inline std::size_t hsum_epi64(__m256i c) {
   return static_cast<std::size_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
 }
 
-// Direct exceedance counting: for each sorted threshold t,
-// hist[t] = #elements with conv[i] > pad_bias[t], accumulated four
-// elements per compare, two thresholds per pass so each conv load is
-// reused.  _CMP_GT_OQ is false on NaN exactly like the scalar `>`, so
+// Direct exceedance counting: one pass counts M consecutive sorted
+// thresholds at once, hist[k] = #{i : conv[i] > bias[k]}, four elements
+// per compare, so each conv load is shared by 4 * M element-threshold
+// compares.  _CMP_GT_OQ is false on NaN exactly like the scalar `>`, so
 // the integer counts — and hence the emitted features — are
-// bit-identical to the scalar search-plus-fold path.  O(n * bpc / 8)
+// bit-identical to the scalar search-plus-fold path.  O(n * bpc / 4)
 // fully pipelined ops beat the scalar O(n log bpc) cmov search at the
 // realistic bias counts (tens per combo); for degenerate huge bpc the
 // asymptotics flip and the scalar path takes over (ppv_pool_avx2).
+template <int M>
+void count_pass(const double* conv, long long n, const double* bias,
+                std::size_t* hist) {
+  // Unrolled early, so the arrays live in registers.
+  __m256d b[M];
+  __m256i c[M];
+#pragma GCC unroll 6
+  for (int k = 0; k < M; ++k) {
+    b[k] = _mm256_set1_pd(bias[k]);
+    c[k] = _mm256_setzero_si256();
+  }
+  // The last n % 4 elements first, so the broadcasts are dead after the
+  // main loop; with the tail after it, GCC spills counters inside the
+  // loop.  A masked load reads 0.0 into the lanes past the end without
+  // touching their memory, and the lane mask clears those lanes'
+  // compare results.
+  const long long full = n & ~3LL;
+  if (full < n) {
+    const __m256i lanes = _mm256_cmpgt_epi64(_mm256_set1_epi64x(n - full),
+                                             _mm256_set_epi64x(3, 2, 1, 0));
+    const __m256d v = _mm256_maskload_pd(conv + full, lanes);
+#pragma GCC unroll 6
+    for (int k = 0; k < M; ++k) {
+      c[k] = _mm256_sub_epi64(
+          c[k], _mm256_and_si256(lanes, _mm256_castpd_si256(_mm256_cmp_pd(
+                                            v, b[k], _CMP_GT_OQ))));
+    }
+  }
+  for (long long i = 0; i < full; i += 4) {
+    const __m256d v = _mm256_loadu_pd(conv + i);
+#pragma GCC unroll 6
+    for (int k = 0; k < M; ++k) {
+      // A true compare is all-ones (-1): subtracting the mask counts.
+      c[k] = _mm256_sub_epi64(
+          c[k], _mm256_castpd_si256(_mm256_cmp_pd(v, b[k], _CMP_GT_OQ)));
+    }
+  }
+#pragma GCC unroll 6
+  for (int k = 0; k < M; ++k) hist[k] = hsum_epi64(c[k]);
+}
+
+// Widest pass: six broadcast and six counter registers, plus the load
+// and the compare result, fit the sixteen ymm registers.
+constexpr std::size_t kMaxPassWidth = 6;
+using CountPassFn = void (*)(const double*, long long, const double*,
+                             std::size_t*);
+constexpr CountPassFn kCountPass[kMaxPassWidth] = {
+    &count_pass<1>, &count_pass<2>, &count_pass<3>,
+    &count_pass<4>, &count_pass<5>, &count_pass<6>,
+};
+
+// One pass per group of up to six thresholds, so the default model's
+// five biases per combo cost a single pass over the response.
 void avx2_ppv_count(const double* conv, long long n, const double* pad_bias,
                     const std::uint32_t* rank, std::size_t bpc, double inv_n,
                     std::size_t* hist, double* out) {
-  // Six thresholds per pass: six broadcast + six counter registers stay
-  // resident, so each conv load is amortised over 24 element-threshold
-  // compares and the per-pass reduction overhead is paid bpc/6 times.
-  std::size_t t = 0;
-  for (; t + 6 <= bpc; t += 6) {
-    const __m256d b0 = _mm256_set1_pd(pad_bias[t]);
-    const __m256d b1 = _mm256_set1_pd(pad_bias[t + 1]);
-    const __m256d b2 = _mm256_set1_pd(pad_bias[t + 2]);
-    const __m256d b3 = _mm256_set1_pd(pad_bias[t + 3]);
-    const __m256d b4 = _mm256_set1_pd(pad_bias[t + 4]);
-    const __m256d b5 = _mm256_set1_pd(pad_bias[t + 5]);
-    __m256i c0 = _mm256_setzero_si256();
-    __m256i c1 = _mm256_setzero_si256();
-    __m256i c2 = _mm256_setzero_si256();
-    __m256i c3 = _mm256_setzero_si256();
-    __m256i c4 = _mm256_setzero_si256();
-    __m256i c5 = _mm256_setzero_si256();
-    long long i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d v = _mm256_loadu_pd(conv + i);
-      // A true compare is all-ones (-1): subtracting the mask counts.
-      c0 = _mm256_sub_epi64(
-          c0, _mm256_castpd_si256(_mm256_cmp_pd(v, b0, _CMP_GT_OQ)));
-      c1 = _mm256_sub_epi64(
-          c1, _mm256_castpd_si256(_mm256_cmp_pd(v, b1, _CMP_GT_OQ)));
-      c2 = _mm256_sub_epi64(
-          c2, _mm256_castpd_si256(_mm256_cmp_pd(v, b2, _CMP_GT_OQ)));
-      c3 = _mm256_sub_epi64(
-          c3, _mm256_castpd_si256(_mm256_cmp_pd(v, b3, _CMP_GT_OQ)));
-      c4 = _mm256_sub_epi64(
-          c4, _mm256_castpd_si256(_mm256_cmp_pd(v, b4, _CMP_GT_OQ)));
-      c5 = _mm256_sub_epi64(
-          c5, _mm256_castpd_si256(_mm256_cmp_pd(v, b5, _CMP_GT_OQ)));
-    }
-    std::size_t counts[6] = {hsum_epi64(c0), hsum_epi64(c1), hsum_epi64(c2),
-                             hsum_epi64(c3), hsum_epi64(c4), hsum_epi64(c5)};
-    for (; i < n; ++i) {
-      const double v = conv[i];
-      for (int k = 0; k < 6; ++k) counts[k] += v > pad_bias[t + k] ? 1 : 0;
-    }
-    for (int k = 0; k < 6; ++k) hist[t + k] = counts[k];
-  }
-  for (; t < bpc; ++t) {
-    const __m256d b0 = _mm256_set1_pd(pad_bias[t]);
-    __m256i c0 = _mm256_setzero_si256();
-    long long i = 0;
-    for (; i + 4 <= n; i += 4) {
-      c0 = _mm256_sub_epi64(
-          c0, _mm256_castpd_si256(_mm256_cmp_pd(_mm256_loadu_pd(conv + i),
-                                                b0, _CMP_GT_OQ)));
-    }
-    std::size_t n0 = hsum_epi64(c0);
-    for (; i < n; ++i) n0 += conv[i] > pad_bias[t] ? 1 : 0;
-    hist[t] = n0;
+  for (std::size_t t = 0; t < bpc; t += kMaxPassWidth) {
+    const std::size_t m = std::min(bpc - t, kMaxPassWidth);
+    kCountPass[m - 1](conv, n, pad_bias + t, hist + t);
   }
   for (std::size_t q = 0; q < bpc; ++q) {
     out[q] = static_cast<double>(hist[rank[q]]) * inv_n;

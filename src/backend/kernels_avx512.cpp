@@ -20,6 +20,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstdint>
 
 #include "backend/kernels.hpp"
@@ -134,79 +135,70 @@ void kernel_conv_avx512(const double* x, long long n, const double* sum9,
   }
 }
 
-// Direct exceedance counting, eight thresholds per pass and eight
-// elements per compare (see the AVX2 backend for why counting beats a
-// gathered binary search; the counts are exact integers, so features
-// stay bit-identical).  The tail mask folds straight into the compare:
-// `_mm512_mask_cmp_pd_mask` never sets a masked lane, so there is no
-// scalar element tail at all.
+// Direct exceedance counting (see the AVX2 backend for why counting
+// beats a gathered binary search; the counts are exact integers, so
+// features stay bit-identical).  One pass counts M consecutive sorted
+// thresholds at once: hist[k] = #{i : conv[i] > bias[k]}, eight
+// elements per compare.
+template <int M>
+void count_pass(const double* conv, long long n, const double* bias,
+                std::size_t* hist) {
+  const __m512i one = _mm512_set1_epi64(1);
+  // Unrolled early, so the arrays live in registers.
+  __m512d b[M];
+  __m512i c[M];
+#pragma GCC unroll 8
+  for (int k = 0; k < M; ++k) {
+    b[k] = _mm512_set1_pd(bias[k]);
+    c[k] = _mm512_setzero_si512();
+  }
+  // The last n % 8 elements first, so the main loop needs no mask: the
+  // tail mask folds straight into the compare, which never sets a masked
+  // lane, so there is no scalar element tail at all.
+  const long long full = n & ~7LL;
+  if (full < n) {
+    const auto lanes = static_cast<__mmask8>((1u << (n - full)) - 1u);
+    const __m512d v = _mm512_maskz_loadu_pd(lanes, conv + full);
+#pragma GCC unroll 8
+    for (int k = 0; k < M; ++k) {
+      c[k] = _mm512_mask_add_epi64(
+          c[k], _mm512_mask_cmp_pd_mask(lanes, v, b[k], _CMP_GT_OQ), c[k],
+          one);
+    }
+  }
+  for (long long i = 0; i < full; i += 8) {
+    const __m512d v = _mm512_loadu_pd(conv + i);
+#pragma GCC unroll 8
+    for (int k = 0; k < M; ++k) {
+      // _CMP_GT_OQ is false on NaN, matching the scalar `>`.
+      c[k] = _mm512_mask_add_epi64(
+          c[k], _mm512_cmp_pd_mask(v, b[k], _CMP_GT_OQ), c[k], one);
+    }
+  }
+#pragma GCC unroll 8
+  for (int k = 0; k < M; ++k) {
+    hist[k] = static_cast<std::size_t>(_mm512_reduce_add_epi64(c[k]));
+  }
+}
+
+// Widest pass: eight broadcast and eight counter registers stay resident,
+// so each conv load is shared by up to 64 element-threshold compares.
+constexpr std::size_t kMaxPassWidth = 8;
+using CountPassFn = void (*)(const double*, long long, const double*,
+                             std::size_t*);
+constexpr CountPassFn kCountPass[kMaxPassWidth] = {
+    &count_pass<1>, &count_pass<2>, &count_pass<3>, &count_pass<4>,
+    &count_pass<5>, &count_pass<6>, &count_pass<7>, &count_pass<8>,
+};
+
+// One pass per group of up to eight thresholds, so the default model's
+// five biases per combo cost a single pass over the response.
 void avx512_ppv_count(const double* conv, long long n, const double* pad_bias,
                       const std::uint32_t* rank, std::size_t bpc,
                       double inv_n, std::size_t* hist, double* out) {
-  const __m512i one = _mm512_set1_epi64(1);
-  std::size_t t = 0;
-  for (; t + 8 <= bpc; t += 8) {
-    const __m512d b0 = _mm512_set1_pd(pad_bias[t]);
-    const __m512d b1 = _mm512_set1_pd(pad_bias[t + 1]);
-    const __m512d b2 = _mm512_set1_pd(pad_bias[t + 2]);
-    const __m512d b3 = _mm512_set1_pd(pad_bias[t + 3]);
-    const __m512d b4 = _mm512_set1_pd(pad_bias[t + 4]);
-    const __m512d b5 = _mm512_set1_pd(pad_bias[t + 5]);
-    const __m512d b6 = _mm512_set1_pd(pad_bias[t + 6]);
-    const __m512d b7 = _mm512_set1_pd(pad_bias[t + 7]);
-    __m512i c0 = _mm512_setzero_si512();
-    __m512i c1 = _mm512_setzero_si512();
-    __m512i c2 = _mm512_setzero_si512();
-    __m512i c3 = _mm512_setzero_si512();
-    __m512i c4 = _mm512_setzero_si512();
-    __m512i c5 = _mm512_setzero_si512();
-    __m512i c6 = _mm512_setzero_si512();
-    __m512i c7 = _mm512_setzero_si512();
-    for (long long i = 0; i < n; i += 8) {
-      const __mmask8 mt =
-          i + 8 <= n ? static_cast<__mmask8>(0xff)
-                     : static_cast<__mmask8>((1u << (n - i)) - 1u);
-      const __m512d v = _mm512_maskz_loadu_pd(mt, conv + i);
-      // _CMP_GT_OQ is false on NaN, matching the scalar `>`.
-      c0 = _mm512_mask_sub_epi64(
-          c0, _mm512_mask_cmp_pd_mask(mt, v, b0, _CMP_GT_OQ), c0, one);
-      c1 = _mm512_mask_sub_epi64(
-          c1, _mm512_mask_cmp_pd_mask(mt, v, b1, _CMP_GT_OQ), c1, one);
-      c2 = _mm512_mask_sub_epi64(
-          c2, _mm512_mask_cmp_pd_mask(mt, v, b2, _CMP_GT_OQ), c2, one);
-      c3 = _mm512_mask_sub_epi64(
-          c3, _mm512_mask_cmp_pd_mask(mt, v, b3, _CMP_GT_OQ), c3, one);
-      c4 = _mm512_mask_sub_epi64(
-          c4, _mm512_mask_cmp_pd_mask(mt, v, b4, _CMP_GT_OQ), c4, one);
-      c5 = _mm512_mask_sub_epi64(
-          c5, _mm512_mask_cmp_pd_mask(mt, v, b5, _CMP_GT_OQ), c5, one);
-      c6 = _mm512_mask_sub_epi64(
-          c6, _mm512_mask_cmp_pd_mask(mt, v, b6, _CMP_GT_OQ), c6, one);
-      c7 = _mm512_mask_sub_epi64(
-          c7, _mm512_mask_cmp_pd_mask(mt, v, b7, _CMP_GT_OQ), c7, one);
-    }
-    // The counters accumulate -count; reduce and negate.
-    hist[t] = static_cast<std::size_t>(-_mm512_reduce_add_epi64(c0));
-    hist[t + 1] = static_cast<std::size_t>(-_mm512_reduce_add_epi64(c1));
-    hist[t + 2] = static_cast<std::size_t>(-_mm512_reduce_add_epi64(c2));
-    hist[t + 3] = static_cast<std::size_t>(-_mm512_reduce_add_epi64(c3));
-    hist[t + 4] = static_cast<std::size_t>(-_mm512_reduce_add_epi64(c4));
-    hist[t + 5] = static_cast<std::size_t>(-_mm512_reduce_add_epi64(c5));
-    hist[t + 6] = static_cast<std::size_t>(-_mm512_reduce_add_epi64(c6));
-    hist[t + 7] = static_cast<std::size_t>(-_mm512_reduce_add_epi64(c7));
-  }
-  for (; t < bpc; ++t) {
-    const __m512d b0 = _mm512_set1_pd(pad_bias[t]);
-    __m512i c0 = _mm512_setzero_si512();
-    for (long long i = 0; i < n; i += 8) {
-      const __mmask8 mt =
-          i + 8 <= n ? static_cast<__mmask8>(0xff)
-                     : static_cast<__mmask8>((1u << (n - i)) - 1u);
-      const __m512d v = _mm512_maskz_loadu_pd(mt, conv + i);
-      c0 = _mm512_mask_sub_epi64(
-          c0, _mm512_mask_cmp_pd_mask(mt, v, b0, _CMP_GT_OQ), c0, one);
-    }
-    hist[t] = static_cast<std::size_t>(-_mm512_reduce_add_epi64(c0));
+  for (std::size_t t = 0; t < bpc; t += kMaxPassWidth) {
+    const std::size_t m = std::min(bpc - t, kMaxPassWidth);
+    kCountPass[m - 1](conv, n, pad_bias + t, hist + t);
   }
   for (std::size_t q = 0; q < bpc; ++q) {
     out[q] = static_cast<double>(hist[rank[q]]) * inv_n;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "keystroke/pinpad.hpp"
@@ -40,9 +39,9 @@ void record_outcome(const AuthResult& result) {
     obs::add_counter("auth.accept");
     return;
   }
+  static const auto kRejectCounters = reject_counter_names("auth.reject.");
   obs::add_counter("auth.reject");
-  obs::add_counter(std::string("auth.reject.") +
-                   reject_reason_slug(result.reason));
+  obs::add_counter(kRejectCounters[audit_code(result.reason)]);
 }
 
 // Builds the per-key vote plan: one ScoringUnit per detected keystroke

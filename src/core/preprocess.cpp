@@ -149,6 +149,15 @@ const char* detected_case_slug(DetectedCase c) noexcept {
   return "?";
 }
 
+std::array<std::string, kRejectReasonCodes> reject_counter_names(
+    std::string_view prefix) {
+  std::array<std::string, kRejectReasonCodes> names;
+  for (std::uint8_t code = 0; code < kRejectReasonCodes; ++code) {
+    names[code] = std::string(prefix) + reject_reason_slug_from_code(code);
+  }
+  return names;
+}
+
 const char* reject_reason_slug_from_code(std::uint8_t code) noexcept {
   return code < kRejectReasonCodes
              ? reject_reason_slug(static_cast<RejectReason>(code))

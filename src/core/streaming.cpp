@@ -183,9 +183,10 @@ AuthResult StreamingAuthenticator::finish_attempt(AuthResult result) {
     lockout_level_ = 0;
   } else {
     ++stats_.rejects_by_reason[result.reason];
+    static const auto kRejectCounters =
+        reject_counter_names("streaming.reject.");
     obs::add_counter("streaming.rejects");
-    obs::add_counter(std::string("streaming.reject.") +
-                     reject_reason_slug(result.reason));
+    obs::add_counter(kRejectCounters[audit_code(result.reason)]);
     // Lockout state machine: genuine rejections count toward the
     // threshold; refusals issued *by* the lockout do not re-arm it.
     if (options_.lockout_threshold > 0 &&

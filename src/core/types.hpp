@@ -1,8 +1,10 @@
 // Shared types of the P2Auth core pipeline.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "keystroke/events.hpp"
@@ -100,6 +102,12 @@ inline constexpr std::uint8_t audit_code(DetectedCase c) noexcept {
 inline constexpr std::uint8_t audit_code(ModelPath p) noexcept {
   return static_cast<std::uint8_t>(p);
 }
+
+// "<prefix><slug>" for every RejectReason, indexed by audit_code: the
+// obs counter names ("auth.reject.", "streaming.reject."), built once
+// per front end instead of once per rejected decision.
+std::array<std::string, kRejectReasonCodes> reject_counter_names(
+    std::string_view prefix);
 
 // Decoders for audit-log codes; out-of-range codes (logs written by a
 // newer build) come back as the slug "unknown".

@@ -1,6 +1,7 @@
 #include "signal/filters.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "linalg/cholesky.hpp"
@@ -23,6 +24,20 @@ void check_odd_window(std::size_t window, const char* who) {
   }
 }
 
+// Median of five by a seven-compare-swap selection network, median in
+// slot 2: sort(0,1) sort(3,4) sort(0,3) sort(1,4) sort(1,2) sort(2,3)
+// sort(1,2).  Each swap keeps only the outputs a later swap reads.  It
+// selects the same value as any exact selection, but of -0.0 and +0.0,
+// which compare equal, it may return the other one than nth_element.
+double median5(const double* w) noexcept {
+  const double p0 = std::min(w[0], w[1]), p1 = std::max(w[0], w[1]);
+  const double p3 = std::min(w[3], w[4]), p4 = std::max(w[3], w[4]);
+  const double q3 = std::max(p0, p3);  // sort(0,3): the min is never read
+  const double q1 = std::min(p1, p4);  // sort(1,4): the max is never read
+  const double r1 = std::min(q1, w[2]), r2 = std::max(q1, w[2]);
+  return std::max(r1, std::min(r2, q3));  // sort(2,3), then sort(1,2)
+}
+
 }  // namespace
 
 Series median_filter(std::span<const double> x, std::size_t window) {
@@ -32,14 +47,35 @@ Series median_filter(std::span<const double> x, std::size_t window) {
   const long long half = static_cast<long long>(window / 2);
   Series out(n);
   Series buf(window);
-  for (std::size_t i = 0; i < n; ++i) {
+  // The general path: copy the clamped window, select its middle.
+  const auto window_median = [&](std::size_t i) {
     for (long long k = -half; k <= half; ++k) {
       buf[static_cast<std::size_t>(k + half)] =
           x[clamp_index(static_cast<long long>(i) + k, n)];
     }
-    auto mid = buf.begin() + static_cast<long long>(window / 2);
+    auto mid = buf.begin() + half;
     std::nth_element(buf.begin(), mid, buf.end());
-    out[i] = *mid;
+    return *mid;
+  };
+  // NaN compares false both ways, so the network and nth_element may
+  // pick different samples around it: a series holding one keeps the
+  // general path throughout.
+  const bool has_nan =
+      std::any_of(x.begin(), x.end(), [](double v) { return std::isnan(v); });
+  if (window != 5 || has_nan) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = window_median(i);
+    return out;
+  }
+  // Window 5: the network over an edge-replicated copy, then the general
+  // path for every zero median, the only value whose bits (-0.0 or
+  // +0.0) depend on the selection order.
+  Series padded(n + 4);
+  for (std::size_t j = 0; j < n + 4; ++j) {
+    padded[j] = x[clamp_index(static_cast<long long>(j) - 2, n)];
+  }
+  for (std::size_t i = 0; i < n; ++i) out[i] = median5(&padded[i]);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (out[i] == 0.0) out[i] = window_median(i);
   }
   return out;
 }

@@ -12,6 +12,7 @@
 
 #include "core/authenticator.hpp"
 #include "core/enrollment.hpp"
+#include "obs/metrics.hpp"
 #include "sim/attacks.hpp"
 #include "sim/dataset.hpp"
 #include "util/thread_pool.hpp"
@@ -225,6 +226,24 @@ TEST(Authenticate, RejectsWrongPinBeforeBiometrics) {
   // Biometric stage never ran.
   EXPECT_EQ(r.detected_case, DetectedCase::kRejected);
   EXPECT_TRUE(r.votes.empty());
+}
+
+// Reject counters are keyed "auth.reject.<slug>"; the Prometheus export
+// and the audit summaries share the slug, so the name is part of the
+// contract.
+TEST(Authenticate, WrongPinIncrementsTypedRejectCounter) {
+  if (!obs::enabled()) GTEST_SKIP() << "observability compiled out";
+  Fixture f;
+  const keystroke::Pin wrong("9999");
+  const Observation entry =
+      f.legit_entry(102, keystroke::InputCase::kOneHanded, &wrong);
+  obs::reset_metrics();
+  EXPECT_FALSE(authenticate(f.user, entry).accepted);
+  EXPECT_FALSE(authenticate(f.user, entry).accepted);
+  const obs::MetricsSnapshot snap = obs::snapshot_metrics();
+  EXPECT_EQ(snap.counter("auth.reject.wrong_pin"), 2u);
+  EXPECT_EQ(snap.counter("auth.reject"), 2u);
+  EXPECT_EQ(snap.counter("auth.attempts"), 2u);
 }
 
 TEST(Authenticate, SkipPinCheckOptionBypassesFactorOne) {

@@ -2,12 +2,96 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include "util/rng.hpp"
 
 namespace p2auth::signal {
 namespace {
+
+// The oracle: the original median filter, a clamped window copy and
+// nth_element per sample.  median_filter must match it bit for bit,
+// including which of -0.0 / +0.0 it returns and NaN propagation.
+Series reference_median_filter(const Series& x, std::size_t window) {
+  if (x.empty()) return {};
+  const std::size_t n = x.size();
+  const long long half = static_cast<long long>(window / 2);
+  Series out(n);
+  Series buf(window);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (long long k = -half; k <= half; ++k) {
+      const long long j = std::clamp<long long>(
+          static_cast<long long>(i) + k, 0, static_cast<long long>(n) - 1);
+      buf[static_cast<std::size_t>(k + half)] =
+          x[static_cast<std::size_t>(j)];
+    }
+    auto mid = buf.begin() + half;
+    std::nth_element(buf.begin(), mid, buf.end());
+    out[i] = *mid;
+  }
+  return out;
+}
+
+// Series shapes the selection order can leak through: distinct values,
+// integer values (ties), signed zeros mixed with a few non-zeros (zero
+// medians of either sign) and a single NaN.
+enum class Shape { kNormal, kIntegers, kSignedZeros, kOneNaN };
+
+Series shaped_series(Shape shape, std::size_t n, util::Rng& rng) {
+  Series x(n);
+  for (double& v : x) {
+    switch (shape) {
+      case Shape::kNormal:
+      case Shape::kOneNaN:
+        v = rng.normal();
+        break;
+      case Shape::kIntegers:
+        v = std::round(2.0 * rng.normal());
+        break;
+      case Shape::kSignedZeros: {
+        static constexpr double kValues[] = {-0.0, 0.0, -0.0, 0.0, 1.0, -1.0};
+        v = kValues[rng.uniform_int(6)];
+        break;
+      }
+    }
+  }
+  if (shape == Shape::kOneNaN && n > 0) {
+    x[rng.uniform_int(static_cast<std::uint32_t>(n))] =
+        std::numeric_limits<double>::quiet_NaN();
+  }
+  return x;
+}
+
+TEST(MedianFilter, BitIdenticalToNthElementOracle) {
+  util::Rng rng(0x3ed1a7ULL, 0x5ULL);
+  std::size_t series = 0;
+  for (const Shape shape : {Shape::kNormal, Shape::kIntegers,
+                            Shape::kSignedZeros, Shape::kOneNaN}) {
+    for (const std::size_t window : {1u, 3u, 5u, 7u}) {
+      for (std::size_t n = 0; n <= 1001; n = n < 12 ? n + 1 : n + 494) {
+        for (int rep = 0; rep < 25; ++rep, ++series) {
+          const Series x = shaped_series(shape, n, rng);
+          const Series got = median_filter(x, window);
+          const Series want = reference_median_filter(x, window);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                      std::bit_cast<std::uint64_t>(want[i]))
+                << "shape " << static_cast<int>(shape) << " window "
+                << window << " n " << n << " rep " << rep << " sample " << i
+                << ": " << got[i] << " vs " << want[i];
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(series, 1500u);
+}
 
 TEST(MedianFilter, RemovesImpulse) {
   Series x(21, 1.0);

@@ -15,7 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <new>
@@ -291,6 +293,65 @@ TEST(MiniRocketDifferential, NonFiniteInputsAgreeWithReference) {
         const bool same =
             (fast[i] == ref[i]) || (std::isnan(fast[i]) && std::isnan(ref[i]));
         ASSERT_TRUE(same) << backend::isa_name(isa) << " feature " << i;
+      }
+    }
+  }
+}
+
+// Every width of the SIMD exceedance-counting pass.  At length 90 (four
+// dilations, 336 combos) a budget of 336 * b features gives exactly b
+// biases per combo, so b = 1..17 covers every AVX-512 pass width (1-7
+// alone, 8 as one full group, 9-17 as one or two full groups plus a
+// remainder) and every AVX2 width (1-5, 6, and 7-17 across groups).
+// Integer-valued training and probe series make conv outputs tie with
+// the fitted biases, so the strict `>` is exercised; the probes also
+// carry NaN, +/-inf and -0.0.
+TEST(MiniRocketDifferential, EveryCountingWidthBitIdenticalWithSpecials) {
+  constexpr std::size_t kLength = 90;
+  constexpr std::size_t kCombos = 336;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  auto integer_series = [](util::Rng& rng) {
+    Series x(kLength);
+    for (double& v : x) v = std::round(2.0 * rng.normal());
+    return x;
+  };
+  for (std::size_t bpc = 1; bpc <= 17; ++bpc) {
+    MiniRocketOptions options;
+    options.num_features = kCombos * bpc;
+    MiniRocket model(options);
+    util::Rng rng(0xc0a7ULL, bpc);
+    std::vector<Series> train;
+    for (std::size_t i = 0; i < 6; ++i) train.push_back(integer_series(rng));
+    model.fit(train, rng);
+    ASSERT_EQ(model.biases_per_combo(), bpc);
+
+    std::vector<Series> probes;
+    probes.push_back(integer_series(rng));
+    probes.push_back(random_series(kLength, rng));
+    Series zeros = integer_series(rng);
+    for (std::size_t i = 0; i < kLength; i += 3) zeros[i] = -0.0;
+    probes.push_back(zeros);
+    Series specials = random_series(kLength, rng);
+    specials[0] = -kInf;
+    specials[31] = kNaN;
+    specials[50] = kInf;
+    specials[51] = -0.0;
+    specials[89] = kInf;
+    probes.push_back(specials);
+
+    for (const backend::Isa isa : backend::available_isas()) {
+      ForcedBackend forced(isa);
+      for (std::size_t p = 0; p < probes.size(); ++p) {
+        const linalg::Vector fast = model.transform(probes[p]);
+        const linalg::Vector ref = reference::transform(model, probes[p]);
+        ASSERT_EQ(fast.size(), ref.size());
+        for (std::size_t i = 0; i < fast.size(); ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(fast[i]),
+                    std::bit_cast<std::uint64_t>(ref[i]))
+              << backend::isa_name(isa) << " bpc " << bpc << " probe " << p
+              << " feature " << i << ": " << fast[i] << " vs " << ref[i];
+        }
       }
     }
   }

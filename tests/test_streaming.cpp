@@ -422,6 +422,7 @@ TEST(Streaming, TimeoutClearsBufferGaugeAndCountsDroppedSamples) {
   EXPECT_EQ(snap.gauges.at("streaming.buffer_samples"), 0.0);
   EXPECT_EQ(snap.counter("streaming.dropped_samples"), 100u);
   EXPECT_EQ(snap.counter("streaming.timeouts"), 1u);
+  EXPECT_EQ(snap.counter("streaming.reject.timeout"), 1u);
 }
 
 }  // namespace
