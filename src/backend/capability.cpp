@@ -21,7 +21,6 @@ Capability detect() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
   // __builtin_cpu_supports consults CPUID (and XGETBV for the AVX
   // family, so OS save-state support is included in the answer).
-  caps.sse2 = __builtin_cpu_supports("sse2");
   caps.avx2 = __builtin_cpu_supports("avx2");
   caps.avx512 = __builtin_cpu_supports("avx512f");
   caps.fma = __builtin_cpu_supports("fma");
@@ -41,8 +40,6 @@ const char* isa_name(Isa isa) noexcept {
   switch (isa) {
     case Isa::kScalar:
       return "scalar";
-    case Isa::kSse2:
-      return "sse2";
     case Isa::kAvx2:
       return "avx2";
     case Isa::kAvx512:
@@ -71,8 +68,6 @@ bool supports(const Capability& caps, Isa isa) noexcept {
   switch (isa) {
     case Isa::kScalar:
       return true;
-    case Isa::kSse2:
-      return caps.sse2;
     case Isa::kAvx2:
       return caps.avx2;
     case Isa::kAvx512:
@@ -94,8 +89,7 @@ bool compiled_in(std::span<const Isa> compiled, Isa isa) {
 
 Isa best_available(const Capability& caps, std::span<const Isa> compiled) {
   // Widest vectors first; scalar is the unconditional floor.
-  constexpr Isa kPreference[] = {Isa::kAvx512, Isa::kAvx2, Isa::kNeon,
-                                 Isa::kSse2};
+  constexpr Isa kPreference[] = {Isa::kAvx512, Isa::kAvx2, Isa::kNeon};
   for (const Isa isa : kPreference) {
     if (compiled_in(compiled, isa) && supports(caps, isa)) return isa;
   }
@@ -115,7 +109,7 @@ Resolution resolve_backend(const char* requested, const Capability& caps,
   const std::optional<Isa> isa = parse_isa(out.requested);
   if (!isa) {
     throw BackendError("P2AUTH_BACKEND: unknown backend '" + out.requested +
-                       "' (expected scalar|sse2|avx2|avx512|neon)");
+                       "' (expected scalar|avx2|avx512|neon)");
   }
   if (compiled_in(compiled, *isa) && supports(caps, *isa)) {
     out.isa = *isa;

@@ -10,9 +10,14 @@
 namespace p2auth::backend {
 
 const KernelTable& scalar_kernel_table() noexcept;  // always compiled
-const KernelTable& sse2_kernel_table() noexcept;    // x86 builds only
 const KernelTable& avx2_kernel_table() noexcept;    // x86 builds only
 const KernelTable& avx512_kernel_table() noexcept;  // x86 builds only
 const KernelTable& neon_kernel_table() noexcept;    // ARM builds only
+
+// The scalar table's ppv_count, defined in kernels_scalar.cpp: NEON's
+// table uses it, and the AVX2 and AVX-512 tables fall back to it past
+// 128 biases per combo.
+void scalar_ppv_count(const PpvCombo& c, std::size_t* hist, double* conv,
+                      double* out);
 
 }  // namespace p2auth::backend

@@ -1,16 +1,14 @@
 // AVX-512F kernel backend (512-bit, eight doubles per vector).
-// Compiled with -mavx512f -ffp-contract=off; every multiply/add pair is
-// an explicit intrinsic, so no fused multiply-adds appear and the
-// bit-identity contract with the scalar reference holds.
+// Compiled with -mavx512f -ffp-contract=off; every add is an explicit
+// intrinsic, so no fused multiply-adds appear and the bit-identity
+// contract with the scalar reference holds.
 //
-// Where this backend differs from the AVX2 one: edges are vectorized
-// too.  AVX-512 merge-masking (`_mm512_mask_add_pd`) leaves a masked
-// lane's bits untouched, which is exactly the scalar edge semantics —
-// an out-of-range tap is *skipped*, not added as 0.0.  (Adding +0.0
-// instead would flip a -0.0 accumulator to +0.0 and break bit
-// identity; that hazard is why the AVX2 backend keeps scalar edges.)
+// The nine-tap sum vectorizes its edges too: AVX-512 merge-masking
+// (`_mm512_mask_add_pd`) leaves a masked lane's bits untouched, which is
+// exactly the reference's semantics of skipping an out-of-range tap.
 // Masked loads suppress faults on the masked lanes, so edge blocks can
 // load through pointers whose masked lanes fall outside the series.
+// PPV counting needs no edge path: it reads the zero-padded 3·x copy.
 //
 // The dot product must follow the cross-backend width-4 stripe
 // contract (see kernels_detail.hpp), so it deliberately stays 256-bit:
@@ -34,13 +32,6 @@ namespace {
 // blocks aim masked loads at addresses whose masked lanes precede the
 // array; routing the arithmetic through uintptr_t keeps the (never
 // dereferenced) out-of-bounds computation out of pointer-UB territory.
-// Bit-exact sign flip via integer xor (_mm512_xor_pd needs AVX-512DQ;
-// vpxorq is plain AVX-512F).
-inline __m512d xor_pd_f(__m512d a, __m512d b) noexcept {
-  return _mm512_castsi512_pd(
-      _mm512_xor_si512(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
-}
-
 inline const double* displaced(const double* base, long long off) noexcept {
   return reinterpret_cast<const double*>(
       reinterpret_cast<std::uintptr_t>(base) +
@@ -94,55 +85,20 @@ void nine_tap_sum_avx512(const double* x, long long n, long long d,
   }
 }
 
-void kernel_conv_avx512(const double* x, long long n, const double* sum9,
-                        int k0, int k1, int k2, long long d, double* conv) {
-  const long long sa = static_cast<long long>(k0 - 4) * d;
-  const long long sb = static_cast<long long>(k1 - 4) * d;
-  const long long sc = static_cast<long long>(k2 - 4) * d;
-  const auto [lo, hi] = detail::conv_partition(n, sa, sc);
-  const __m512d three = _mm512_set1_pd(3.0);
-  const __m512d sign = _mm512_set1_pd(-0.0);
-  const __m512i iota = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
-  const __m512i vn = _mm512_set1_epi64(n);
-  const long long shift[3] = {sa, sb, sc};
-  __m512i lob[3], hib[3];
-  for (int t = 0; t < 3; ++t) {
-    lob[t] = _mm512_set1_epi64(-shift[t]);
-    hib[t] = _mm512_set1_epi64(n - shift[t]);
-  }
-  for (long long i = 0; i < n; i += 8) {
-    if (i >= lo && i + 8 <= hi) {
-      // -sum9[i] as a sign flip (bit-exact negation), then the three
-      // multiply-add pairs in ascending shift order.
-      __m512d v = xor_pd_f(_mm512_loadu_pd(sum9 + i), sign);
-      v = _mm512_add_pd(v, _mm512_mul_pd(three, _mm512_loadu_pd(x + i + sa)));
-      v = _mm512_add_pd(v, _mm512_mul_pd(three, _mm512_loadu_pd(x + i + sb)));
-      v = _mm512_add_pd(v, _mm512_mul_pd(three, _mm512_loadu_pd(x + i + sc)));
-      _mm512_storeu_pd(conv + i, v);
-      continue;
-    }
-    const __m512i idx = _mm512_add_epi64(iota, _mm512_set1_epi64(i));
-    const __mmask8 mt = _mm512_cmplt_epi64_mask(idx, vn);
-    __m512d v = xor_pd_f(_mm512_maskz_loadu_pd(mt, sum9 + i), sign);
-    for (int t = 0; t < 3; ++t) {
-      const __mmask8 m = mt & _mm512_cmpge_epi64_mask(idx, lob[t]) &
-                         _mm512_cmplt_epi64_mask(idx, hib[t]);
-      const __m512d xv =
-          _mm512_maskz_loadu_pd(m, displaced(x, i + shift[t]));
-      v = _mm512_mask_add_pd(v, m, v, _mm512_mul_pd(three, xv));
-    }
-    _mm512_mask_storeu_pd(conv + i, mt, v);
-  }
-}
-
-// Direct exceedance counting (see the AVX2 backend for why counting
-// beats a gathered binary search; the counts are exact integers, so
-// features stay bit-identical).  One pass counts M consecutive sorted
-// thresholds at once: hist[k] = #{i : conv[i] > bias[k]}, eight
-// elements per compare.
+// Fused convolution and exceedance counting (see the AVX2 backend for
+// why counting beats a gathered binary search; the counts are exact
+// integers, so features stay bit-identical).  One pass builds eight
+// convolution outputs in a register from the padded copy, then counts
+// M consecutive sorted thresholds at once: hist[k] = #{i : conv[i] >
+// bias[k]}.
 template <int M>
-void count_pass(const double* conv, long long n, const double* bias,
+void count_pass(const PpvCombo& combo, const double* bias,
                 std::size_t* hist) {
+  const long long n = combo.n;
+  const double* const nsum = combo.nsum;
+  const double* const xa = combo.x3 + combo.sa;
+  const double* const xb = combo.x3 + combo.sb;
+  const double* const xc = combo.x3 + combo.sc;
   const __m512i one = _mm512_set1_epi64(1);
   // Unrolled early, so the arrays live in registers.
   __m512d b[M];
@@ -152,22 +108,30 @@ void count_pass(const double* conv, long long n, const double* bias,
     b[k] = _mm512_set1_pd(bias[k]);
     c[k] = _mm512_setzero_si512();
   }
-  // The last n % 8 elements first, so the main loop needs no mask: the
-  // tail mask folds straight into the compare, which never sets a masked
-  // lane, so there is no scalar element tail at all.
+  // The last n % 8 elements first, so the main loop needs no mask.  The
+  // padding covers the unmasked 3·x loads past the end; the tail mask
+  // guards the nine-tap sum's load and folds into the compare, which
+  // never sets a masked lane.
   const long long full = n & ~7LL;
   if (full < n) {
     const auto lanes = static_cast<__mmask8>((1u << (n - full)) - 1u);
-    const __m512d v = _mm512_maskz_loadu_pd(lanes, conv + full);
+    __m512d v = _mm512_maskz_loadu_pd(lanes, nsum + full);
+    v = _mm512_add_pd(v, _mm512_loadu_pd(xa + full));
+    v = _mm512_add_pd(v, _mm512_loadu_pd(xb + full));
+    v = _mm512_add_pd(v, _mm512_loadu_pd(xc + full));
 #pragma GCC unroll 8
     for (int k = 0; k < M; ++k) {
       c[k] = _mm512_mask_add_epi64(
-          c[k], _mm512_mask_cmp_pd_mask(lanes, v, b[k], _CMP_GT_OQ), c[k],
-          one);
+          c[k], _mm512_mask_cmp_pd_mask(lanes, v, b[k], _CMP_GT_OQ),
+          c[k], one);
     }
   }
   for (long long i = 0; i < full; i += 8) {
-    const __m512d v = _mm512_loadu_pd(conv + i);
+    // The reference's addition order: -sum9, then the taps ascending.
+    __m512d v = _mm512_loadu_pd(nsum + i);
+    v = _mm512_add_pd(v, _mm512_loadu_pd(xa + i));
+    v = _mm512_add_pd(v, _mm512_loadu_pd(xb + i));
+    v = _mm512_add_pd(v, _mm512_loadu_pd(xc + i));
 #pragma GCC unroll 8
     for (int k = 0; k < M; ++k) {
       // _CMP_GT_OQ is false on NaN, matching the scalar `>`.
@@ -182,42 +146,34 @@ void count_pass(const double* conv, long long n, const double* bias,
 }
 
 // Widest pass: eight broadcast and eight counter registers stay resident,
-// so each conv load is shared by up to 64 element-threshold compares.
+// so each convolution vector is shared by up to 64 element-threshold
+// compares.
 constexpr std::size_t kMaxPassWidth = 8;
-using CountPassFn = void (*)(const double*, long long, const double*,
-                             std::size_t*);
+using CountPassFn = void (*)(const PpvCombo&, const double*, std::size_t*);
 constexpr CountPassFn kCountPass[kMaxPassWidth] = {
     &count_pass<1>, &count_pass<2>, &count_pass<3>, &count_pass<4>,
     &count_pass<5>, &count_pass<6>, &count_pass<7>, &count_pass<8>,
 };
 
-// One pass per group of up to eight thresholds, so the default model's
-// five biases per combo cost a single pass over the response.
-void avx512_ppv_count(const double* conv, long long n, const double* pad_bias,
-                      const std::uint32_t* rank, std::size_t bpc,
-                      double inv_n, std::size_t* hist, double* out) {
-  for (std::size_t t = 0; t < bpc; t += kMaxPassWidth) {
-    const std::size_t m = std::min(bpc - t, kMaxPassWidth);
-    kCountPass[m - 1](conv, n, pad_bias + t, hist + t);
-  }
-  for (std::size_t q = 0; q < bpc; ++q) {
-    out[q] = static_cast<double>(hist[rank[q]]) * inv_n;
-  }
-}
-
-void ppv_pool_avx512(const double* conv, long long n, const double* pad_bias,
-                     const std::uint32_t* rank, std::size_t bpc,
-                     std::size_t steps, double inv_n, std::size_t* hist,
-                     double* out) {
+// One pass per group of up to eight thresholds, each recomputing the
+// three adds, so the default model's five biases per combo cost a
+// single pass over the series.
+void ppv_count_avx512(const PpvCombo& c, std::size_t* hist, double* conv,
+                      double* out) {
   // Same crossover as the AVX2 backend: degenerate huge bias counts
   // favour the O(n log bpc) scalar search.  Identical exact integers
   // either way.
-  if (bpc > 128) {
-    detail::scalar_ppv_pool(conv, n, pad_bias, rank, bpc, steps, inv_n,
-                            hist, out);
+  if (c.bpc > 128) {
+    scalar_ppv_count(c, hist, conv, out);
     return;
   }
-  avx512_ppv_count(conv, n, pad_bias, rank, bpc, inv_n, hist, out);
+  for (std::size_t t = 0; t < c.bpc; t += kMaxPassWidth) {
+    const std::size_t m = std::min(c.bpc - t, kMaxPassWidth);
+    kCountPass[m - 1](c, c.pad_bias + t, hist + t);
+  }
+  for (std::size_t q = 0; q < c.bpc; ++q) {
+    out[q] = static_cast<double>(hist[c.rank[q]]) * c.inv_n;
+  }
 }
 
 double dot_avx512(const double* a, const double* b, std::size_t n) {
@@ -254,9 +210,8 @@ void axpy_avx512(double alpha, const double* x, double* y, std::size_t n) {
 
 const KernelTable& avx512_kernel_table() noexcept {
   static constexpr KernelTable kTable{
-      Isa::kAvx512,        "avx512",         &nine_tap_sum_avx512,
-      &kernel_conv_avx512, &ppv_pool_avx512, &dot_avx512,
-      &axpy_avx512,
+      Isa::kAvx512,      "avx512",     &nine_tap_sum_avx512,
+      &ppv_count_avx512, &dot_avx512,  &axpy_avx512,
   };
   return kTable;
 }

@@ -7,19 +7,16 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
-#include <cstdint>
-#include <utility>
 
 #include "backend/policy.hpp"
 
 namespace p2auth::backend::detail {
 
 // ---------------------------------------------------------------------
-// Shift partitions.  An element is "interior" when its whole receptive
-// field lies inside the series; edges are handled by guarded scalar
-// loops in every backend so vector loops never read past the series.
+// Nine-tap shift partition.  An element is "interior" when its whole
+// receptive field lies inside the series; edges are handled by guarded
+// scalar loops so vector loops never read past the series.
 // ---------------------------------------------------------------------
 
 struct Partition {
@@ -30,14 +27,6 @@ struct Partition {
 inline Partition nine_tap_partition(long long n, long long d) noexcept {
   const long long lo = std::min(n, 4 * d);
   return {lo, std::max(lo, n - 4 * d)};
-}
-
-inline Partition conv_partition(long long n, long long sa,
-                                long long sc) noexcept {
-  // sa <= sc, so the lowest shift bounds the left edge and the highest
-  // bounds the right one.
-  const long long lo = std::min(n, std::max<long long>(0, -sa));
-  return {lo, std::max(lo, std::min(n, sc > 0 ? n - sc : n))};
 }
 
 // Guarded nine-tap sum for one edge element (ascending tap order).
@@ -67,108 +56,6 @@ inline void nine_tap_interior(const double* x, long long d, long long i0,
     s += x[i + 4 * d];
     sum[i] = s;
   }
-}
-
-// Guarded kernel completion for one edge element.
-inline void conv_edge(const double* x, long long n, const double* sum9,
-                      long long sa, long long sb, long long sc, long long i,
-                      double* conv) noexcept {
-  double v = -sum9[i];
-  if (i + sa >= 0 && i + sa < n) v += 3.0 * x[i + sa];
-  if (i + sb >= 0 && i + sb < n) v += 3.0 * x[i + sb];
-  if (i + sc >= 0 && i + sc < n) v += 3.0 * x[i + sc];
-  conv[i] = v;
-}
-
-// Branch-free kernel-completion interior body over [i0, i1).
-inline void conv_interior(const double* x, const double* sum9, long long sa,
-                          long long sb, long long sc, long long i0,
-                          long long i1, double* conv) noexcept {
-  for (long long i = i0; i < i1; ++i) {
-    double v = -sum9[i];
-    v += 3.0 * x[i + sa];
-    v += 3.0 * x[i + sb];
-    v += 3.0 * x[i + sc];
-    conv[i] = v;
-  }
-}
-
-// ---------------------------------------------------------------------
-// Fused PPV pooling, scalar form.  One compile-time-width binary search
-// per element (the fixed trip count makes GCC lower every step to a
-// conditional move; a runtime-width loop is ~5x slower), a histogram
-// over the per-element ranks, and a suffix fold into exceedance counts.
-// Counts are integers, so features match any other evaluation order
-// bit-for-bit — including NaN (compares below every bias, lands in
-// bucket 0) and +/-inf.
-// ---------------------------------------------------------------------
-
-template <int kSteps>
-inline std::size_t ppv_search(const double* pad_bias, double v) noexcept {
-  std::size_t j = 0;
-  for (int s = kSteps - 1; s >= 0; --s) {
-    const std::size_t w = std::size_t{1} << s;
-    j += (pad_bias[j + w - 1] < v) ? w : 0;
-  }
-  return j;  // +inf sentinels never compare < v, so j <= bpc always
-}
-
-// Converts the rank histogram into per-threshold exceedance counts in
-// place (count for sorted bias t = #elements with rank > t) and emits
-// the features in original quantile order.
-inline void ppv_fold_emit(std::size_t* hist, const std::uint32_t* rank,
-                          std::size_t bpc, double inv_n,
-                          double* out) noexcept {
-  std::size_t count_above = 0;
-  std::size_t carry = hist[bpc];
-  for (std::size_t t = bpc; t-- > 0;) {
-    count_above += carry;
-    carry = hist[t];
-    hist[t] = count_above;
-  }
-  for (std::size_t q = 0; q < bpc; ++q) {
-    out[q] = static_cast<double>(hist[rank[q]]) * inv_n;
-  }
-}
-
-template <int kSteps>
-inline void scalar_ppv_pool_steps(const double* conv, long long n,
-                                  const double* pad_bias,
-                                  const std::uint32_t* rank, std::size_t bpc,
-                                  double inv_n, std::size_t* hist,
-                                  double* out) {
-  std::fill(hist, hist + bpc + 1, std::size_t{0});
-  for (long long i = 0; i < n; ++i) {
-    ++hist[ppv_search<kSteps>(pad_bias, conv[i])];
-  }
-  ppv_fold_emit(hist, rank, bpc, inv_n, out);
-}
-
-// steps -> specialized scalar pooling kernel.  Index 0 is unused
-// (bpc >= 1 forces at least one step).
-using SteppedPoolFn = void (*)(const double*, long long, const double*,
-                               const std::uint32_t*, std::size_t, double,
-                               std::size_t*, double*);
-
-template <std::size_t... kSteps>
-constexpr std::array<SteppedPoolFn, sizeof...(kSteps)>
-make_scalar_pool_table(std::index_sequence<kSteps...>) {
-  return {(kSteps == 0
-               ? nullptr
-               : &scalar_ppv_pool_steps<kSteps == 0 ? 1 : kSteps>)...};
-}
-
-// Runtime-steps entry point shared by the scalar table and the ISAs
-// that do not accelerate pooling (SSE2 and NEON lack the vector gather
-// the search needs; integer counts make reuse bit-exact by definition).
-inline void scalar_ppv_pool(const double* conv, long long n,
-                            const double* pad_bias,
-                            const std::uint32_t* rank, std::size_t bpc,
-                            std::size_t steps, double inv_n,
-                            std::size_t* hist, double* out) {
-  static constexpr auto kTable = make_scalar_pool_table(
-      std::make_index_sequence<kMaxPpvSearchSteps + 1>{});
-  kTable[steps](conv, n, pad_bias, rank, bpc, inv_n, hist, out);
 }
 
 // ---------------------------------------------------------------------

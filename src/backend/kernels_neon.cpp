@@ -1,10 +1,10 @@
 // NEON kernel backend (AArch64 AdvSIMD, two doubles per vector).
 // Compiled only on ARM targets (-ffp-contract=off: AArch64 compilers
 // otherwise fuse multiply-adds by default, which would break the
-// bit-identity contract).  Structure mirrors the SSE2 backend: guarded
-// scalar edges, two-lane interiors in the scalar per-element operation
-// order, scalar PPV pooling (no vector gather on NEON; integer counts
-// make the reuse bit-exact by definition).
+// bit-identity contract).  The nine-tap sum runs guarded scalar edges
+// and two-lane interiors in the scalar per-element operation order; PPV
+// counting is the scalar table's (no vector gather on NEON; integer
+// counts make the reuse bit-exact by definition).
 #if defined(__aarch64__) || (defined(__ARM_NEON) && defined(__ARM_FP))
 
 #include <arm_neon.h>
@@ -41,32 +41,6 @@ void nine_tap_sum_neon(const double* x, long long n, long long d,
   for (i = hi; i < n; ++i) detail::nine_tap_edge(x, n, d, i, sum);
 }
 
-void kernel_conv_neon(const double* x, long long n, const double* sum9,
-                      int k0, int k1, int k2, long long d, double* conv) {
-  const long long sa = static_cast<long long>(k0 - 4) * d;
-  const long long sb = static_cast<long long>(k1 - 4) * d;
-  const long long sc = static_cast<long long>(k2 - 4) * d;
-  const auto [lo, hi] = detail::conv_partition(n, sa, sc);
-  for (long long i = 0; i < lo; ++i) {
-    detail::conv_edge(x, n, sum9, sa, sb, sc, i, conv);
-  }
-  const float64x2_t three = vdupq_n_f64(3.0);
-  long long i = lo;
-  for (; i + 2 <= hi; i += 2) {
-    // vnegq flips the sign bit (bit-exact negation), then separate
-    // multiply and add pairs in ascending shift order (no vfma).
-    float64x2_t v = vnegq_f64(vld1q_f64(sum9 + i));
-    v = vaddq_f64(v, vmulq_f64(three, vld1q_f64(x + i + sa)));
-    v = vaddq_f64(v, vmulq_f64(three, vld1q_f64(x + i + sb)));
-    v = vaddq_f64(v, vmulq_f64(three, vld1q_f64(x + i + sc)));
-    vst1q_f64(conv + i, v);
-  }
-  detail::conv_interior(x, sum9, sa, sb, sc, i, hi, conv);
-  for (i = hi; i < n; ++i) {
-    detail::conv_edge(x, n, sum9, sa, sb, sc, i, conv);
-  }
-}
-
 double dot_neon(const double* a, const double* b, std::size_t n) {
   // accA carries stripes 0-1, accB stripes 2-3; the final combine
   // matches the (acc0 + acc1) + (acc2 + acc3) scalar contract.
@@ -98,10 +72,8 @@ void axpy_neon(double alpha, const double* x, double* y, std::size_t n) {
 
 const KernelTable& neon_kernel_table() noexcept {
   static constexpr KernelTable kTable{
-      Isa::kNeon,         "neon",
-      &nine_tap_sum_neon, &kernel_conv_neon,
-      &detail::scalar_ppv_pool, &dot_neon,
-      &axpy_neon,
+      Isa::kNeon,        "neon",     &nine_tap_sum_neon,
+      &scalar_ppv_count, &dot_neon,  &axpy_neon,
   };
   return kTable;
 }

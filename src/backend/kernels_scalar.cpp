@@ -1,9 +1,15 @@
 // Scalar kernel backend: the always-compiled portable fallback and the
 // bit-identity reference every SIMD table is differentially tested
-// against.  The loop bodies are the PR-5 fast-path kernels verbatim
-// (shift-partitioned edges + branch-free interiors, cmov binary-search
-// PPV pooling); this TU is built -O3 like the old minirocket.cpp so the
-// "scalar" backend is exactly the autovectorized fast path it replaces.
+// against.  The nine-tap sum keeps the shift-partitioned shape (guarded
+// edges, branch-free interior); PPV counting writes the padded
+// convolution and runs a cmov binary search per element.  This TU is
+// built -O3 like the old minirocket.cpp so the branch-free loops
+// auto-vectorize.  It also holds kernel_conv, the exact convolution that
+// fit and max pooling call directly.
+#include <algorithm>
+#include <array>
+#include <utility>
+
 #include "backend/kernels.hpp"
 #include "backend/kernels_detail.hpp"
 
@@ -19,19 +25,42 @@ void nine_tap_sum_scalar(const double* x, long long n, long long d,
   for (long long i = hi; i < n; ++i) detail::nine_tap_edge(x, n, d, i, sum);
 }
 
-void kernel_conv_scalar(const double* x, long long n, const double* sum9,
-                        int k0, int k1, int k2, long long d, double* conv) {
-  const long long sa = static_cast<long long>(k0 - 4) * d;
-  const long long sb = static_cast<long long>(k1 - 4) * d;
-  const long long sc = static_cast<long long>(k2 - 4) * d;
-  const auto [lo, hi] = detail::conv_partition(n, sa, sc);
-  for (long long i = 0; i < lo; ++i) {
-    detail::conv_edge(x, n, sum9, sa, sb, sc, i, conv);
+// One compile-time-width binary search per element (the fixed trip
+// count makes GCC lower every step to a conditional move; a
+// runtime-width loop is ~5x slower), a histogram over the per-element
+// ranks, and a suffix fold into exceedance counts.  Counts are integers,
+// so features match any other evaluation order bit-for-bit — including
+// NaN (compares below every bias, lands in bucket 0) and +/-inf.
+template <int kSteps>
+std::size_t ppv_search(const double* pad_bias, double v) noexcept {
+  std::size_t j = 0;
+  for (int s = kSteps - 1; s >= 0; --s) {
+    const std::size_t w = std::size_t{1} << s;
+    j += (pad_bias[j + w - 1] < v) ? w : 0;
   }
-  detail::conv_interior(x, sum9, sa, sb, sc, lo, hi, conv);
-  for (long long i = hi; i < n; ++i) {
-    detail::conv_edge(x, n, sum9, sa, sb, sc, i, conv);
+  return j;  // +inf sentinels never compare < v, so j <= bpc always
+}
+
+template <int kSteps>
+void ppv_search_count(const double* conv, const PpvCombo& c,
+                      std::size_t* hist) {
+  const long long n = c.n;
+  const double* const pad_bias = c.pad_bias;
+  std::fill(hist, hist + c.bpc + 1, std::size_t{0});
+  for (long long i = 0; i < n; ++i) {
+    ++hist[ppv_search<kSteps>(pad_bias, conv[i])];
   }
+}
+
+// steps -> specialized search.  Index 0 is unused (bpc >= 1 forces at
+// least one step).
+using SearchCountFn = void (*)(const double*, const PpvCombo&, std::size_t*);
+
+template <std::size_t... kSteps>
+constexpr std::array<SearchCountFn, sizeof...(kSteps)> make_search_table(
+    std::index_sequence<kSteps...>) {
+  return {(kSteps == 0 ? nullptr
+                       : &ppv_search_count<kSteps == 0 ? 1 : kSteps>)...};
 }
 
 double dot_scalar(const double* a, const double* b, std::size_t n) {
@@ -44,12 +73,69 @@ void axpy_scalar(double alpha, const double* x, double* y, std::size_t n) {
 
 }  // namespace
 
+void scalar_ppv_count(const PpvCombo& c, std::size_t* hist, double* conv,
+                      double* out) {
+  // The padded convolution in one branch-free pass; fusing it into the
+  // search loop measured slower.
+  const long long n = c.n;
+  const double* const nsum = c.nsum;
+  const double* const xa = c.x3 + c.sa;
+  const double* const xb = c.x3 + c.sb;
+  const double* const xc = c.x3 + c.sc;
+  for (long long i = 0; i < n; ++i) {
+    double v = nsum[i];
+    v += xa[i];
+    v += xb[i];
+    v += xc[i];
+    conv[i] = v;
+  }
+  static constexpr auto kSearch =
+      make_search_table(std::make_index_sequence<kMaxPpvSearchSteps + 1>{});
+  kSearch[c.steps](conv, c, hist);
+  // Suffix fold: the count for sorted bias t is #elements with rank > t.
+  std::size_t count_above = 0;
+  std::size_t carry = hist[c.bpc];
+  for (std::size_t t = c.bpc; t-- > 0;) {
+    count_above += carry;
+    carry = hist[t];
+    hist[t] = count_above;
+  }
+  for (std::size_t q = 0; q < c.bpc; ++q) {
+    out[q] = static_cast<double>(hist[c.rank[q]]) * c.inv_n;
+  }
+}
+
+void kernel_conv(const double* x, long long n, const double* sum9, int k0,
+                 int k1, int k2, long long d, double* conv) {
+  const long long shift[3] = {static_cast<long long>(k0 - 4) * d,
+                              static_cast<long long>(k1 - 4) * d,
+                              static_cast<long long>(k2 - 4) * d};
+  // Elements whose three taps are all in range; shifts ascend, so the
+  // lowest bounds the left edge and the highest the right one.
+  const long long lo = std::min(n, std::max(0LL, -shift[0]));
+  const long long hi = std::max(lo, std::min(n, n - shift[2]));
+  auto edge = [&](long long i) {
+    double v = -sum9[i];
+    for (const long long s : shift) {
+      if (i + s >= 0 && i + s < n) v += 3.0 * x[i + s];
+    }
+    conv[i] = v;
+  };
+  for (long long i = 0; i < lo; ++i) edge(i);
+  for (long long i = lo; i < hi; ++i) {
+    double v = -sum9[i];
+    v += 3.0 * x[i + shift[0]];
+    v += 3.0 * x[i + shift[1]];
+    v += 3.0 * x[i + shift[2]];
+    conv[i] = v;
+  }
+  for (long long i = hi; i < n; ++i) edge(i);
+}
+
 const KernelTable& scalar_kernel_table() noexcept {
   static constexpr KernelTable kTable{
-      Isa::kScalar,          "scalar",
-      &nine_tap_sum_scalar,  &kernel_conv_scalar,
-      &detail::scalar_ppv_pool, &dot_scalar,
-      &axpy_scalar,
+      Isa::kScalar,      "scalar",     &nine_tap_sum_scalar,
+      &scalar_ppv_count, &dot_scalar,  &axpy_scalar,
   };
   return kTable;
 }

@@ -6,20 +6,32 @@
 // first use from, in priority order:
 //
 //   1. a process-local force_isa() override (tests, ops tooling);
-//   2. the P2AUTH_BACKEND environment variable (scalar|sse2|avx2|avx512|neon;
+//   2. the P2AUTH_BACKEND environment variable (scalar|avx2|avx512|neon;
 //      unknown names throw BackendError, unavailable ISAs fall back to
 //      the best available — see capability.hpp);
 //   3. auto-selection: the widest ISA that is both compiled in and
 //      supported by the host CPU.
 //
-// Bit-identity contract: every table produces bit-identical results to
+// Bit-identity contract: every table produces features bit-identical to
 // the scalar table (and hence to `ml::minirocket::reference`) under
-// exact double comparison.  The convolution kernels keep the reference's
-// per-element floating-point operation order and never contract
-// multiply-adds; PPV pooling produces integer counts; the dot product
-// follows a fixed width-4 stripe accumulation order that every backend —
-// scalar included — implements identically.  The differential test
-// suites enforce this for every table compiled into the binary.
+// exact double comparison.
+//   * nine_tap_sum keeps the reference's per-element floating-point
+//     operation order and skips out-of-range taps, as the reference
+//     does.
+//   * ppv_count builds each combo's convolution from a zero-padded 3·x
+//     copy, so an out-of-range tap adds +0.0 where the reference skips
+//     it.  Adding +0.0 changes no value's bits except -0.0, which
+//     becomes +0.0, so this convolution differs from the reference's
+//     only in the sign of a zero.  No `conv > bias` compare can see
+//     that, and the counts are exact integers, so the features are
+//     identical.
+//   * kernel_conv, the exact skip-the-tap convolution, serves fit (whose
+//     bias quantiles are convolution values) and max pooling (which
+//     emits one as a feature).  It is scalar only, outside the tables.
+//   * dot follows a fixed width-4 stripe accumulation order that every
+//     backend — scalar included — implements identically.
+// No kernel contracts multiply-adds.  The differential test suites
+// enforce the contract for every table compiled into the binary.
 #pragma once
 
 #include <cstddef>
@@ -38,23 +50,43 @@ namespace p2auth::backend {
 using NineTapSumFn = void (*)(const double* x, long long n, long long d,
                               double* sum);
 
-// Completes one MiniRocket kernel from the shared nine-tap sum:
-// conv[i] = -sum9[i] + 3*x[i+(k0-4)d] + 3*x[i+(k1-4)d] + 3*x[i+(k2-4)d]
-// with in-range taps added in ascending order (k0 < k1 < k2).
-using KernelConvFn = void (*)(const double* x, long long n,
-                              const double* sum9, int k0, int k1, int k2,
-                              long long d, double* conv);
+// Zero padding on each side of the 3·x copy that ppv_count reads, for
+// dilations up to `max_dilation`: the widest tap reach 4·d plus one
+// vector width, so the vector loads of the last partial block stay
+// inside the buffer too.
+inline constexpr long long ppv_padding(long long max_dilation) noexcept {
+  return 4 * max_dilation + 8;
+}
 
-// Fused PPV pooling for one combo: one `steps`-step branch-free binary
-// search per element over the +inf-padded ascending biases, a histogram
-// over the per-element ranks, and a suffix fold into per-threshold
-// exceedance counts (exact integers, so features are order-independent).
-// `pad_bias` has 2^steps - 1 slots; `hist` holds bpc + 1; `out` receives
-// bpc features in original quantile order via `rank`.
-using PpvPoolFn = void (*)(const double* conv, long long n,
-                           const double* pad_bias, const std::uint32_t* rank,
-                           std::size_t bpc, std::size_t steps, double inv_n,
-                           std::size_t* hist, double* out);
+// One (kernel, dilation) combo's inputs to ppv_count.  The combo's
+// convolution is
+//   conv[i] = ((nsum[i] + x3[i + sa]) + x3[i + sb]) + x3[i + sc]
+// for i in [0, n): no multiplies, and no edge path.
+struct PpvCombo {
+  // 3.0 * x[i] at x3[i], +0.0 on ppv_padding(d) elements either side.
+  const double* x3 = nullptr;
+  // The dilation's nine-tap sum, negated; n elements.
+  const double* nsum = nullptr;
+  long long n = 0;
+  // Tap shifts (k - 4) * d of the kernel's three +2 taps, ascending.
+  long long sa = 0, sb = 0, sc = 0;
+  // The combo's biases in ascending order, +inf padded to 2^steps - 1
+  // slots, and each original quantile's position among them.
+  const double* pad_bias = nullptr;
+  const std::uint32_t* rank = nullptr;
+  std::size_t bpc = 0;
+  std::size_t steps = 0;
+  double inv_n = 0.0;
+};
+
+// PPV features of one combo: out[q] = #{i : conv[i] > bias_q} * inv_n
+// for its bpc biases, in original quantile order.  `hist` holds bpc + 1
+// counts.  `conv` holds n doubles; the scalar table writes the
+// convolution there and runs a branch-free binary search per element
+// over `pad_bias`, while the AVX2 and AVX-512 tables build it in
+// registers and count exceedances directly.
+using PpvCountFn = void (*)(const PpvCombo& combo, std::size_t* hist,
+                            double* conv, double* out);
 
 // Width-4 striped dot product: four independent accumulators over
 // 4-element blocks (acc_l += a[i+l]*b[i+l], multiply then add, never
@@ -71,16 +103,23 @@ struct KernelTable {
   Isa isa = Isa::kScalar;
   const char* name = "scalar";  // == isa_name(isa)
   NineTapSumFn nine_tap_sum = nullptr;
-  KernelConvFn kernel_conv = nullptr;
-  PpvPoolFn ppv_pool = nullptr;
+  PpvCountFn ppv_count = nullptr;
   DotFn dot = nullptr;
   AxpyFn axpy = nullptr;
 };
 
-// Widest supported number of binary-search steps in ppv_pool (the bias
+// Widest supported number of binary-search steps in ppv_count (the bias
 // pad stride is 2^steps - 1; 20 steps cover over a million quantiles per
 // combo, three orders of magnitude beyond any realistic budget).
 inline constexpr std::size_t kMaxPpvSearchSteps = 20;
+
+// Completes one MiniRocket kernel from the nine-tap sum with the
+// reference's exact operation order:
+// conv[i] = -sum9[i] + 3*x[i+(k0-4)d] + 3*x[i+(k1-4)d] + 3*x[i+(k2-4)d]
+// with in-range taps added in ascending order (k0 < k1 < k2) and
+// out-of-range taps skipped.  Scalar, not dispatched.
+void kernel_conv(const double* x, long long n, const double* sum9, int k0,
+                 int k1, int k2, long long d, double* conv);
 
 // The active kernel table: force_isa() override if set, else the cached
 // P2AUTH_BACKEND resolution.  First use may throw BackendError (unknown

@@ -88,7 +88,7 @@ struct StreamingStats {
   // Rejections keyed by typed reason (RejectReason::kTimeout, ...).
   std::map<RejectReason, std::uint64_t> rejects_by_reason;
   // SIMD backend the hot kernels dispatched to when this instance was
-  // constructed ("scalar", "sse2", "avx2", "neon") — ops triage needs to
+  // constructed ("scalar", "avx2", "avx512", "neon") — ops triage needs to
   // know which code path produced a stream of decisions.
   std::string backend;
 

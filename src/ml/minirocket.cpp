@@ -70,11 +70,12 @@ MiniRocket MiniRocket::from_parts(MiniRocketOptions options,
     throw util::SerializeError(util::SerializeErrc::kBadShape,
                                "MiniRocket::from_parts: inconsistent shape");
   }
-  // A dilation outside [1, input_length) could only come from a corrupted
-  // stream (fit never produces one) and would index far outside every
-  // shift partition downstream.
+  // Fit keeps the receptive field 8·d inside the series, so a dilation
+  // outside [1, input_length / 8) could only come from a corrupted
+  // stream.  It would index outside every shift partition downstream and
+  // size the PPV padding (4·d + 8 doubles per side).
   for (const int d : rocket.dilations_) {
-    if (d < 1) {
+    if (d < 1 || 8 * static_cast<std::uint64_t>(d) >= input_length) {
       throw util::SerializeError(util::SerializeErrc::kBadValue,
                                  "MiniRocket::from_parts: bad dilation");
     }
@@ -280,18 +281,21 @@ Series dilated_convolution(std::span<const double> x,
 // ---------------------------------------------------------------------------
 // Fast path.
 //
-// The hot kernels (nine-tap sliding sum, kernel completion, fused PPV
-// pooling) live in src/backend as per-ISA translation units; this file
-// only drives them through the runtime-dispatched KernelTable.  Loop
-// structure: per (series, dilation) tile, the nine-tap sliding sum is
-// computed once into scratch, then each of the 84 kernels completes its
-// response into one reused buffer and pooling runs as a contiguous scan.
-// Nothing is heap-allocated once the scratch is warm.  Every backend
-// keeps the reference path's per-element accumulation order, so outputs
-// are bit-identical to `reference::transform` on every ISA.
+// The hot kernels (nine-tap sliding sum, fused PPV counting) live in
+// src/backend as per-ISA translation units; this file only drives them
+// through the runtime-dispatched KernelTable.  Loop structure: each
+// series is copied once into a zero-padded 3·x buffer; per (series,
+// dilation) tile, the nine-tap sum is computed and negated once, then
+// each of the 84 kernels' PPV counts come from one ppv_count pass whose
+// convolution adds three padded taps per element.  Fit and max pooling
+// keep values of the convolution itself, so they complete each kernel
+// with the exact scalar backend::kernel_conv instead.  Nothing is
+// heap-allocated once the scratch is warm.  Features are bit-identical
+// to `reference::transform` on every ISA (see backend/policy.hpp for why
+// the padded convolution's signed zeros cannot change a count).
 // ---------------------------------------------------------------------------
 
-void TransformScratch::reserve(std::size_t input_length,
+void TransformScratch::reserve(std::size_t input_length, std::size_t padding,
                                std::size_t biases_per_combo) {
   // Grow-only: buffers keep their high-water size, so a warm scratch
   // never reallocates and the gauge below only fires on growth.
@@ -300,6 +304,10 @@ void TransformScratch::reserve(std::size_t input_length,
     sum9.resize(input_length);
     conv.resize(input_length);
     sorted.resize(input_length);
+    grew = true;
+  }
+  if (x3.size() < input_length + 2 * padding) {
+    x3.resize(input_length + 2 * padding);
     grew = true;
   }
   // +1: the counting histogram has one bucket per "number of sorted
@@ -312,7 +320,8 @@ void TransformScratch::reserve(std::size_t input_length,
 }
 
 std::size_t TransformScratch::bytes() const noexcept {
-  return (sum9.capacity() + conv.capacity() + sorted.capacity()) *
+  return (sum9.capacity() + conv.capacity() + sorted.capacity() +
+          x3.capacity()) *
              sizeof(double) +
          counts.capacity() * sizeof(std::size_t);
 }
@@ -396,15 +405,15 @@ void MiniRocket::fit_dilation(std::size_t di, const Series& sample) {
   // The transform path's kernels, on this thread's own scratch: tiles of
   // one fit may run concurrently on different pool workers.
   TransformScratch& scratch = thread_transform_scratch();
-  scratch.reserve(input_length_, biases_per_combo_);
-  const backend::KernelTable& kt = backend::kernels();
+  scratch.reserve(input_length_, 0, biases_per_combo_);
   const auto n = static_cast<long long>(input_length_);
   const std::size_t num_kernels = minirocket_kernels().size();
-  kt.nine_tap_sum(sample.data(), n, dilations_[di], scratch.sum9.data());
+  backend::kernels().nine_tap_sum(sample.data(), n, dilations_[di],
+                                  scratch.sum9.data());
   for (std::size_t ki = 0; ki < num_kernels; ++ki) {
     const std::array<int, 3>& k = minirocket_kernels()[ki];
-    kt.kernel_conv(sample.data(), n, scratch.sum9.data(), k[0], k[1], k[2],
-                   dilations_[di], scratch.conv.data());
+    backend::kernel_conv(sample.data(), n, scratch.sum9.data(), k[0], k[1],
+                         k[2], dilations_[di], scratch.conv.data());
     double* const sorted = scratch.sorted.data();
     std::copy(scratch.conv.data(), scratch.conv.data() + n, sorted);
     std::sort(sorted, sorted + n);
@@ -429,14 +438,14 @@ void MiniRocket::build_bias_index() {
     bias_pad_stride_ = 0;
     return;
   }
-  // Pad every combo to 2^steps - 1 slots so ppv_pool_steps<steps> can run
-  // a fixed number of search steps; +inf sentinels never compare < any
-  // probe, so they are invisible to the counts.
+  // Pad every combo to 2^steps - 1 slots so the scalar search can run a
+  // fixed number of steps; +inf sentinels never compare < any probe, so
+  // they are invisible to the counts.
   bias_search_steps_ = 1;
   while (((std::size_t{1} << bias_search_steps_) - 1) < biases_per_combo_) {
     ++bias_search_steps_;
   }
-  // The backend pooling kernels dispatch on the step count; a wider
+  // The scalar counting kernel dispatches on the step count; a wider
   // search could only come from an absurd feature budget or a corrupted
   // model stream, and silently indexing past the dispatch range in the
   // backend would be an out-of-bounds read.
@@ -473,6 +482,66 @@ std::size_t MiniRocket::num_features() const noexcept {
   return biases_.size();
 }
 
+const double* MiniRocket::prepare(const double* x,
+                                  TransformScratch& scratch) const {
+  const auto max_dilation =
+      *std::max_element(dilations_.begin(), dilations_.end());
+  const auto padding =
+      static_cast<std::size_t>(backend::ppv_padding(max_dilation));
+  scratch.reserve(input_length_, padding, biases_per_combo_);
+  if (options_.pooling != Pooling::kPpv) return nullptr;
+  // 3.0 * x[i] is the product the reference forms for every tap that
+  // reads x[i]; the zeros stand in for the taps it skips.
+  double* const x3 = scratch.x3.data() + padding;
+  std::fill(scratch.x3.data(), x3, 0.0);
+  for (std::size_t i = 0; i < input_length_; ++i) x3[i] = 3.0 * x[i];
+  std::fill(x3 + input_length_, x3 + input_length_ + padding, 0.0);
+  return x3;
+}
+
+void MiniRocket::transform_tile(const double* x, const double* x3,
+                                std::size_t di,
+                                const backend::KernelTable& kt,
+                                TransformScratch& scratch,
+                                double* row) const {
+  const auto n = static_cast<long long>(input_length_);
+  const long long d = dilations_[di];
+  const std::size_t num_dilations = dilations_.size();
+  const auto& kernels = minirocket_kernels();
+  double* const sum9 = scratch.sum9.data();
+  kt.nine_tap_sum(x, n, d, sum9);
+  if (options_.pooling == Pooling::kMax) {
+    double* const conv = scratch.conv.data();
+    for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
+      const std::array<int, 3>& k = kernels[ki];
+      backend::kernel_conv(x, n, sum9, k[0], k[1], k[2], d, conv);
+      double peak = conv[0];
+      for (long long i = 1; i < n; ++i) peak = std::max(peak, conv[i]);
+      row[ki * num_dilations + di] = peak;
+    }
+    return;
+  }
+  for (long long i = 0; i < n; ++i) sum9[i] = -sum9[i];
+  backend::PpvCombo combo;
+  combo.x3 = x3;
+  combo.nsum = sum9;
+  combo.n = n;
+  combo.bpc = biases_per_combo_;
+  combo.steps = bias_search_steps_;
+  combo.inv_n = 1.0 / static_cast<double>(input_length_);
+  for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
+    const std::array<int, 3>& k = kernels[ki];
+    combo.sa = (k[0] - 4) * d;
+    combo.sb = (k[1] - 4) * d;
+    combo.sc = (k[2] - 4) * d;
+    const std::size_t c = ki * num_dilations + di;
+    combo.pad_bias = sorted_biases_.data() + c * bias_pad_stride_;
+    combo.rank = bias_rank_.data() + c * biases_per_combo_;
+    kt.ppv_count(combo, scratch.counts.data(), scratch.conv.data(),
+                 row + c * biases_per_combo_);
+  }
+}
+
 void MiniRocket::transform_into(std::span<const double> x,
                                 std::span<double> out,
                                 TransformScratch& scratch) const {
@@ -483,38 +552,10 @@ void MiniRocket::transform_into(std::span<const double> x,
   if (out.size() != num_features()) {
     throw std::invalid_argument("MiniRocket::transform: bad output size");
   }
-  scratch.reserve(input_length_, biases_per_combo_);
   const backend::KernelTable& kt = backend::kernels();
-  const auto n = static_cast<long long>(x.size());
-  const std::size_t num_dilations = dilations_.size();
-  const auto& kernels = minirocket_kernels();
-  const double inv_n = 1.0 / static_cast<double>(x.size());
-  for (std::size_t di = 0; di < num_dilations; ++di) {
-    kt.nine_tap_sum(x.data(), n, dilations_[di], scratch.sum9.data());
-    if (options_.pooling == Pooling::kMax) {
-      for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
-        const std::array<int, 3>& k = kernels[ki];
-        kt.kernel_conv(x.data(), n, scratch.sum9.data(), k[0], k[1], k[2],
-                       dilations_[di], scratch.conv.data());
-        const double* conv = scratch.conv.data();
-        double peak = conv[0];
-        for (long long i = 1; i < n; ++i) peak = std::max(peak, conv[i]);
-        out[ki * num_dilations + di] = peak;
-      }
-      continue;
-    }
-    for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
-      const std::array<int, 3>& k = kernels[ki];
-      kt.kernel_conv(x.data(), n, scratch.sum9.data(), k[0], k[1], k[2],
-                     dilations_[di], scratch.conv.data());
-      const std::size_t combo = ki * num_dilations + di;
-      kt.ppv_pool(scratch.conv.data(), n,
-                  sorted_biases_.data() + combo * bias_pad_stride_,
-                  bias_rank_.data() + combo * biases_per_combo_,
-                  biases_per_combo_, bias_search_steps_, inv_n,
-                  scratch.counts.data(),
-                  out.data() + combo * biases_per_combo_);
-    }
+  const double* const x3 = prepare(x.data(), scratch);
+  for (std::size_t di = 0; di < dilations_.size(); ++di) {
+    transform_tile(x.data(), x3, di, kt, scratch, out.data());
   }
 }
 
@@ -539,46 +580,22 @@ void MiniRocket::transform_batch_into(std::span<const Series* const> batch,
   // One task per (series, dilation) tile: each writes the disjoint
   // feature slots of its combo column within its series' row, so the
   // matrix is bit-identical to per-series transforms for any thread
-  // count.  Per-thread scratch stays warm across tiles and batches
-  // (pool workers persist), giving the allocation-free steady state.
+  // count.  Each tile pads its own series copy.  Per-thread scratch stays
+  // warm across tiles and batches (pool workers persist), giving the
+  // allocation-free steady state.
   const std::size_t num_dilations = dilations_.size();
-  const std::size_t tiles = batch.size() * num_dilations;
-  const auto n = static_cast<long long>(input_length_);
-  const auto& kernels = minirocket_kernels();
-  const double inv_n = 1.0 / static_cast<double>(input_length_);
   // Resolve the dispatch once; every worker tile uses the same table even
   // if force_isa() flips concurrently.
   const backend::KernelTable& kt = backend::kernels();
   try {
     util::parallel_for(
-        tiles, /*chunk=*/1,
+        batch.size() * num_dilations, /*chunk=*/1,
         [&](std::size_t t) {
-          const std::size_t s = t / num_dilations;
-          const std::size_t di = t % num_dilations;
-          const double* x = batch[s]->data();
-          double* row = out + s * row_stride;
+          const double* x = batch[t / num_dilations]->data();
           TransformScratch& scratch = thread_transform_scratch();
-          scratch.reserve(input_length_, biases_per_combo_);
-          kt.nine_tap_sum(x, n, dilations_[di], scratch.sum9.data());
-          for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
-            const std::array<int, 3>& k = kernels[ki];
-            kt.kernel_conv(x, n, scratch.sum9.data(), k[0], k[1], k[2],
-                           dilations_[di], scratch.conv.data());
-            const double* conv = scratch.conv.data();
-            const std::size_t combo = ki * num_dilations + di;
-            if (options_.pooling == Pooling::kMax) {
-              double peak = conv[0];
-              for (long long i = 1; i < n; ++i) peak = std::max(peak, conv[i]);
-              row[combo] = peak;
-              continue;
-            }
-            kt.ppv_pool(conv, n,
-                        sorted_biases_.data() + combo * bias_pad_stride_,
-                        bias_rank_.data() + combo * biases_per_combo_,
-                        biases_per_combo_, bias_search_steps_, inv_n,
-                        scratch.counts.data(),
-                        row + combo * biases_per_combo_);
-          }
+          const double* const x3 = prepare(x, scratch);
+          transform_tile(x, x3, t % num_dilations, kt, scratch,
+                         out + (t / num_dilations) * row_stride);
         },
         max_threads);
   } catch (const util::ParallelForError& e) {

@@ -17,12 +17,13 @@
 // Two implementations coexist:
 //
 //   * The fast path — an allocation-free, cache-blocked batch engine.
-//     All working memory lives in a reusable `TransformScratch`; the
-//     inner loops are shift-partitioned (guarded edges, branch-free
-//     interior) so they auto-vectorize, and pooling is fused into the
-//     convolution completion so no per-kernel response is materialized
-//     beyond one reused buffer.  `transform_batch` tiles
-//     (series x dilation) blocks across `util::parallel_for`.
+//     All working memory lives in a reusable `TransformScratch`.  Each
+//     series gets one zero-padded 3·x copy and each dilation one negated
+//     nine-tap sum; a (kernel, dilation) combo's PPV counts then come
+//     from one backend pass that adds three padded taps per element, so
+//     SIMD backends never store the convolution.  One per-(series,
+//     dilation) tile routine serves both engines; `transform_batch`
+//     runs the tiles across `util::parallel_for`.
 //   * `minirocket::reference` — the original straightforward scalar
 //     implementation, kept compiled-in as the oracle.  The fast path
 //     must agree with it bit-for-bit (same floating-point operation
@@ -38,6 +39,10 @@
 
 #include "linalg/matrix.hpp"
 #include "util/rng.hpp"
+
+namespace p2auth::backend {
+struct KernelTable;
+}  // namespace p2auth::backend
 
 namespace p2auth::ml {
 
@@ -80,12 +85,14 @@ struct TransformScratch {
   Series sum9;    // shared nine-tap sliding sum for one dilation
   Series conv;    // one kernel's convolution response
   Series sorted;  // fit-time sorted-quantile workspace
+  Series x3;      // the series times 3.0, zero-padded on both sides
   std::vector<std::size_t> counts;  // fused PPV tallies (one per quantile)
 
-  // Grows the buffers to serve series of `input_length` with
-  // `biases_per_combo` quantiles; no-op (and allocation-free) when they
-  // already suffice.
-  void reserve(std::size_t input_length, std::size_t biases_per_combo);
+  // Grows the buffers to serve series of `input_length` whose 3·x copy
+  // carries `padding` zeros on each side, with `biases_per_combo`
+  // quantiles; no-op (and allocation-free) when they already suffice.
+  void reserve(std::size_t input_length, std::size_t padding,
+               std::size_t biases_per_combo);
   // Current heap footprint of the buffers, for the
   // `minirocket.scratch_bytes` gauge.
   std::size_t bytes() const noexcept;
@@ -158,8 +165,9 @@ class MiniRocket {
 
   // Reassembles a fitted transform from already-parsed parts — the entry
   // point shared by the text loader above and the binary reader in
-  // src/io/.  Validates the shape invariants (dilation positivity,
-  // finite biases, kernel-count consistency) and throws
+  // src/io/.  Validates the shape invariants (every dilation d in
+  // [1, input_length / 8), finite biases, kernel-count consistency) and
+  // throws
   // util::SerializeError on any inconsistency; on success rebuilds the
   // derived PPV search index exactly as fit/load do.
   static MiniRocket from_parts(MiniRocketOptions options,
@@ -170,11 +178,13 @@ class MiniRocket {
 
  private:
   // Derived PPV counting index (not serialized; rebuilt by fit/load).
-  // The fast path counts "conv[i] > bias_q" for all quantiles of a combo
-  // in one binary-search pass per element over the combo's *sorted*
-  // biases — O(n log q) instead of the scan's O(n q) — then maps the
-  // per-sorted-position counts back through `bias_rank_`.  Counts are
-  // exact integers, so the features stay bit-identical to the scan.
+  // The scalar backend counts "conv[i] > bias_q" for all quantiles of a
+  // combo in one binary-search pass per element over the combo's
+  // *sorted* biases — O(n log q) instead of the scan's O(n q); the SIMD
+  // backends count groups of consecutive sorted biases directly.  Both
+  // map the per-sorted-position counts back through `bias_rank_`.
+  // Counts are exact integers, so the features stay bit-identical to the
+  // scan.
   //
   // Each combo's sorted biases are padded to a power-of-two-minus-one
   // stride with +inf sentinels so the search runs a fixed, compile-time
@@ -195,6 +205,17 @@ class MiniRocket {
                                       util::Rng& rng);
   void fit_dilation(std::size_t di, const Series& sample);
   friend class MultiChannelMiniRocket;
+
+  // Sizes `scratch` for this model and, for PPV pooling, writes the
+  // zero-padded 3·x copy of `x` into it; returns that copy's element 0
+  // (nullptr for max pooling).
+  const double* prepare(const double* x, TransformScratch& scratch) const;
+  // One (series, dilation) tile: dilation `di`'s 84 combos of series `x`
+  // into its feature row `row`, with `x3` from prepare().  Both engines
+  // run it.
+  void transform_tile(const double* x, const double* x3, std::size_t di,
+                      const backend::KernelTable& kt,
+                      TransformScratch& scratch, double* row) const;
 
   MiniRocketOptions options_;
   std::size_t input_length_ = 0;

@@ -39,6 +39,7 @@ TEST(BackendCapability, ParseRejectsUnknownAndAliases) {
   EXPECT_FALSE(parse_isa("avx").has_value());
   EXPECT_FALSE(parse_isa("avx512vl").has_value());
   EXPECT_FALSE(parse_isa("wombat").has_value());
+  EXPECT_FALSE(parse_isa("sse2").has_value());  // backend removed
 }
 
 TEST(BackendCapability, DetectionRunsExactlyOnceUnderConcurrentFirstUse) {
@@ -74,20 +75,20 @@ TEST(BackendResolve, UnknownNameThrowsTypedError) {
   } catch (const BackendError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("unknown backend 'see2'"), std::string::npos) << what;
-    EXPECT_NE(what.find("scalar|sse2|avx2|avx512|neon"), std::string::npos)
+    EXPECT_NE(what.find("scalar|avx2|avx512|neon"), std::string::npos)
         << what;
   }
+  // The removed SSE2 backend is an unknown name, not a fallback.
+  EXPECT_THROW((void)resolve_backend("sse2", caps, compiled_isas()),
+               BackendError);
 }
 
 TEST(BackendResolve, AutoSelectionPrefersWidestSupportedVectors) {
   Capability caps;  // nothing supported -> scalar floor
-  const Isa all[] = {Isa::kScalar, Isa::kSse2, Isa::kAvx2, Isa::kAvx512,
-                     Isa::kNeon};
+  const Isa all[] = {Isa::kScalar, Isa::kAvx2, Isa::kAvx512, Isa::kNeon};
   EXPECT_EQ(resolve_backend(nullptr, caps, all).isa, Isa::kScalar);
-  caps.sse2 = true;
-  EXPECT_EQ(resolve_backend("", caps, all).isa, Isa::kSse2);
   caps.avx2 = true;
-  EXPECT_EQ(resolve_backend(nullptr, caps, all).isa, Isa::kAvx2);
+  EXPECT_EQ(resolve_backend("", caps, all).isa, Isa::kAvx2);
   caps.avx512 = true;
   EXPECT_EQ(resolve_backend(nullptr, caps, all).isa, Isa::kAvx512);
   // Auto-selection never reports a fallback and records no request.
@@ -98,17 +99,17 @@ TEST(BackendResolve, AutoSelectionPrefersWidestSupportedVectors) {
 
 TEST(BackendResolve, KnownButUnavailableFallsBackGracefully) {
   Capability caps;
-  caps.sse2 = true;
-  const Isa compiled[] = {Isa::kScalar, Isa::kSse2, Isa::kAvx2};
-  // Host cannot run avx2: a fleet-wide P2AUTH_BACKEND=avx2 must degrade
-  // to the best this machine has, flagged for telemetry.
-  const Resolution r = resolve_backend("avx2", caps, compiled);
-  EXPECT_EQ(r.isa, Isa::kSse2);
+  caps.avx2 = true;
+  const Isa compiled[] = {Isa::kScalar, Isa::kAvx2, Isa::kAvx512};
+  // Host cannot run avx512: a fleet-wide P2AUTH_BACKEND=avx512 must
+  // degrade to the best this machine has, flagged for telemetry.
+  const Resolution r = resolve_backend("avx512", caps, compiled);
+  EXPECT_EQ(r.isa, Isa::kAvx2);
   EXPECT_TRUE(r.fell_back);
-  EXPECT_EQ(r.requested, "avx2");
+  EXPECT_EQ(r.requested, "avx512");
   // ISA supported by the CPU but not compiled in falls back too.
   Capability wide;
-  wide.sse2 = wide.avx2 = wide.avx512 = true;
+  wide.avx2 = wide.avx512 = true;
   const Isa scalar_only[] = {Isa::kScalar};
   const Resolution r2 = resolve_backend("avx512", wide, scalar_only);
   EXPECT_EQ(r2.isa, Isa::kScalar);
@@ -117,13 +118,13 @@ TEST(BackendResolve, KnownButUnavailableFallsBackGracefully) {
 
 TEST(BackendResolve, AvailableRequestWinsOutright) {
   Capability caps;
-  caps.sse2 = caps.avx2 = true;
-  const Isa compiled[] = {Isa::kScalar, Isa::kSse2, Isa::kAvx2};
+  caps.avx2 = caps.avx512 = true;
+  const Isa compiled[] = {Isa::kScalar, Isa::kAvx2, Isa::kAvx512};
   // An explicit downgrade request is honoured, not "upgraded".
-  const Resolution r = resolve_backend("sse2", caps, compiled);
-  EXPECT_EQ(r.isa, Isa::kSse2);
+  const Resolution r = resolve_backend("avx2", caps, compiled);
+  EXPECT_EQ(r.isa, Isa::kAvx2);
   EXPECT_FALSE(r.fell_back);
-  EXPECT_EQ(r.requested, "sse2");
+  EXPECT_EQ(r.requested, "avx2");
   const Resolution s = resolve_backend("scalar", caps, compiled);
   EXPECT_EQ(s.isa, Isa::kScalar);
   EXPECT_FALSE(s.fell_back);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 #include "util/thread_pool.hpp"
 
 namespace p2auth::ml {
@@ -544,21 +545,27 @@ TEST(MiniRocketSerialization, NonPositiveDilationRejected) {
   rocket.fit(train, rng);
   std::stringstream ss;
   rocket.save(ss);
-  std::string text = ss.str();
+  const std::string text = ss.str();
   // "\ndilations" skips over the earlier "max_dilations" field.
   const std::size_t tag = text.find("\ndilations") + 1;
   ASSERT_NE(tag, std::string::npos + 1);
   const std::size_t count_start = text.find(' ', tag) + 1;
   const std::size_t value_start = text.find(' ', count_start) + 1;
   const std::size_t value_end = text.find(' ', value_start);
-  text.replace(value_start, value_end - value_start, "-3");
-  std::istringstream bad(text);
-  try {
-    MiniRocket::load(bad);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("dilation"), std::string::npos)
-        << e.what();
+  // Non-positive, then every d with 8*d >= input_length (40): the
+  // boundary 5, the length itself, and 2^30, whose 8*d overflows int.
+  for (const char* dilation : {"-3", "0", "5", "40", "1073741824"}) {
+    std::string corrupt = text;
+    corrupt.replace(value_start, value_end - value_start, dilation);
+    std::istringstream bad(corrupt);
+    try {
+      MiniRocket::load(bad);
+      FAIL() << "expected util::SerializeError for dilation " << dilation;
+    } catch (const util::SerializeError& e) {
+      EXPECT_EQ(e.code(), util::SerializeErrc::kBadValue) << dilation;
+      EXPECT_NE(std::string(e.what()).find("dilation"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

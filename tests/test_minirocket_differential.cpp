@@ -171,12 +171,17 @@ void expect_bit_identical(std::span<const double> fast,
 // The headline differential sweep: randomized series through models of
 // odd, even, tiny and non-power-of-two lengths (9 is the minimum legal
 // length; 90/91 straddle an even/odd boundary; 100/250 engage 4-5
-// dilation levels), both poolings, fresh series per case — and the
-// whole matrix repeated for EVERY SIMD backend this host can run, with
-// dispatch pinned per pass.  Case count is asserted >= 1000 per backend
-// so the bit-exactness claim stays pinned to a concrete sample size.
+// dilation levels; together the lengths cover every n mod 8, so every
+// partial last vector block of the PPV kernels; 600 is the production
+// full-waveform length, whose dilation-64 taps reach the end of the
+// zero padding), both poolings, fresh series per case — and the whole
+// matrix repeated for EVERY SIMD backend this host can run, with
+// dispatch pinned per pass.  Each model gets a fresh scratch, sized
+// exactly for it, so under a sanitizer any load outside the padded
+// series faults.  Case count is asserted >= 1000 per backend so the
+// bit-exactness claim stays pinned to a concrete sample size.
 TEST(MiniRocketDifferential, EveryBackendBitIdenticalOnThousandRandomCases) {
-  const std::size_t lengths[] = {9, 32, 90, 91, 100, 250};
+  const std::size_t lengths[] = {9, 32, 45, 90, 91, 94, 100, 127, 250, 600};
   const Pooling poolings[] = {Pooling::kPpv, Pooling::kMax};
   for (const backend::Isa isa : backend::available_isas()) {
     ForcedBackend forced(isa);
@@ -191,9 +196,11 @@ TEST(MiniRocketDifferential, EveryBackendBitIdenticalOnThousandRandomCases) {
         for (const int d : model.dilations()) {
           ASSERT_LT(8 * d, static_cast<int>(length));
         }
+        TransformScratch scratch;
+        linalg::Vector fast(model.num_features(), 0.0);
         for (std::size_t c = 0; c < 90; ++c) {
           const Series x = random_series(length, rng);
-          const linalg::Vector fast = model.transform(x);
+          model.transform_into(x, fast, scratch);
           const linalg::Vector ref = reference::transform(model, x);
           expect_bit_identical(
               fast, ref,
@@ -212,28 +219,32 @@ TEST(MiniRocketDifferential, EveryBackendBitIdenticalOnThousandRandomCases) {
 // bit-for-bit regardless of thread count (tiles write disjoint feature
 // slots; no accumulation crosses a tile boundary).  Runs at 1 and 8
 // threads — the 8-thread run under TSan in CI doubles as the contention
-// check on the shared per-thread scratch.
+// check on the shared per-thread scratch.  Length 127 leaves a partial
+// last vector block on every backend.
 TEST(MiniRocketDifferential, BatchMatchesReferenceAcrossThreadCounts) {
   for (const backend::Isa isa : backend::available_isas()) {
     ForcedBackend forced(isa);
     const std::string backend_name = backend::isa_name(isa);
-    for (const Pooling pooling : {Pooling::kPpv, Pooling::kMax}) {
-      const MiniRocket model = fitted_model(91, pooling, 0xba7c4ULL);
-      util::Rng rng(0xba7c4da7aULL, 0x11ULL);
-      std::vector<Series> batch;
-      for (std::size_t i = 0; i < 24; ++i) {
-        batch.push_back(random_series(91, rng));
-      }
-      const linalg::Matrix ref = reference::transform_batch(model, batch);
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-        const linalg::Matrix fast = model.transform_batch(batch, threads);
-        ASSERT_EQ(fast.rows(), ref.rows());
-        ASSERT_EQ(fast.cols(), ref.cols());
-        for (std::size_t r = 0; r < ref.rows(); ++r) {
-          expect_bit_identical(fast.row(r), ref.row(r),
-                               "backend=" + backend_name + " threads=" +
-                                   std::to_string(threads) + " row=" +
-                                   std::to_string(r));
+    for (const std::size_t length : {std::size_t{91}, std::size_t{127}}) {
+      for (const Pooling pooling : {Pooling::kPpv, Pooling::kMax}) {
+        const MiniRocket model = fitted_model(length, pooling, 0xba7c4ULL);
+        util::Rng rng(0xba7c4da7aULL, 0x11ULL);
+        std::vector<Series> batch;
+        for (std::size_t i = 0; i < 24; ++i) {
+          batch.push_back(random_series(length, rng));
+        }
+        const linalg::Matrix ref = reference::transform_batch(model, batch);
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+          const linalg::Matrix fast = model.transform_batch(batch, threads);
+          ASSERT_EQ(fast.rows(), ref.rows());
+          ASSERT_EQ(fast.cols(), ref.cols());
+          for (std::size_t r = 0; r < ref.rows(); ++r) {
+            expect_bit_identical(
+                fast.row(r), ref.row(r),
+                "backend=" + backend_name + " len=" +
+                    std::to_string(length) + " threads=" +
+                    std::to_string(threads) + " row=" + std::to_string(r));
+          }
         }
       }
     }
@@ -305,7 +316,11 @@ TEST(MiniRocketDifferential, NonFiniteInputsAgreeWithReference) {
 // remainder) and every AVX2 width (1-5, 6, and 7-17 across groups).
 // Integer-valued training and probe series make conv outputs tie with
 // the fitted biases, so the strict `>` is exercised; the probes also
-// carry NaN, +/-inf and -0.0.
+// carry NaN, +/-inf and -0.0.  Integer-valued fits produce biases of
+// exactly 0.0, and the all-(-0.0) probe and the probe with zero runs at
+// both ends make the reference convolution -0.0 where the padded one is
+// +0.0 (an out-of-range tap adds +0.0 instead of being skipped): the
+// counts must not see the sign.
 TEST(MiniRocketDifferential, EveryCountingWidthBitIdenticalWithSpecials) {
   constexpr std::size_t kLength = 90;
   constexpr std::size_t kCombos = 336;
@@ -339,6 +354,13 @@ TEST(MiniRocketDifferential, EveryCountingWidthBitIdenticalWithSpecials) {
     specials[51] = -0.0;
     specials[89] = kInf;
     probes.push_back(specials);
+    probes.push_back(Series(kLength, -0.0));
+    Series zero_ends = integer_series(rng);
+    for (std::size_t i = 0; i < 40; ++i) {
+      zero_ends[i] = (i % 2 == 0) ? -0.0 : 0.0;
+      zero_ends[kLength - 1 - i] = -0.0;
+    }
+    probes.push_back(zero_ends);
 
     for (const backend::Isa isa : backend::available_isas()) {
       ForcedBackend forced(isa);
