@@ -302,7 +302,7 @@ int main(int argc, char** argv) {
       if (!isa) {
         std::fprintf(stderr,
                      "bench_primitives: unknown backend '%s' "
-                     "(expected scalar|avx2|avx512|neon)\n",
+                     "(expected scalar|avx2|avx512)\n",
                      std::string(arg.substr(10)).c_str());
         return 2;
       }

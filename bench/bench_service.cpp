@@ -8,10 +8,10 @@
 // the same resolve path production would.  Every request carries a
 // hidden ground-truth digest — decision_checksum of a serial
 // core::authenticate replay on the same (user, observation) — and the
-// bench exits nonzero if any batched concurrent decision differs by a
+// bench exits nonzero if any concurrent service decision differs by a
 // single bit.  Also probed, each with a gated invariant flag:
 //
-//   * bit_identical      — batched == serial replay for every request;
+//   * bit_identical      — service == serial replay for every request;
 //   * overload_typed     — a saturated admission queue sheds with
 //                          kOverloaded, answers everything, drops nothing;
 //   * shutdown_drained   — stop() drains every admitted request exactly
@@ -20,8 +20,8 @@
 //   * service_vs_serial_speedup — closed-loop concurrent throughput over
 //                          the serial replay of the same workload.
 //
-// Reported (ungated): p50/p95/p99 latency and QPS per loop mode, batch
-// and LRU statistics.  --quick shrinks everything for CI; writes
+// Reported (ungated): p50/p95/p99 latency and QPS per loop mode, and
+// LRU statistics.  --quick shrinks everything for CI; writes
 // BENCH_service.json for tools/check_bench_regression.py.
 #include <algorithm>
 #include <chrono>
@@ -297,8 +297,8 @@ int main(int argc, char** argv) {
     work[i].request.observation = {std::move(trial.entry),
                                    std::move(trial.trace)};
     // Hidden ground truth: serial core::authenticate on the same
-    // materialized user — the oracle the batched path must match bit
-    // for bit.
+    // materialized user — the oracle the service must match bit for
+    // bit.
     const std::string& name = work[i].request.user;
     auto it = truth_cache.find(name);
     if (it == truth_cache.end()) {
@@ -317,7 +317,6 @@ int main(int argc, char** argv) {
   svc_options.lru_capacity = quick ? 16 : 64;
   svc_options.queue_capacity = 1024;
   svc_options.workers = 2;
-  svc_options.max_batch = 8;
   std::printf("closed loop: %zu clients over %zu requests...\n", clients,
               requests);
   LoopResult closed;
@@ -360,7 +359,6 @@ int main(int argc, char** argv) {
     service::ServiceOptions tiny = svc_options;
     tiny.queue_capacity = 2;
     tiny.workers = 1;
-    tiny.max_batch = 1;
     service::AuthService svc(source, tiny);
     std::vector<std::future<service::AuthResponse>> futures;
     const std::size_t burst = std::min<std::size_t>(work.size(), 32);
@@ -419,12 +417,10 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nserial replay %.2fs, closed loop %.2fs (speedup %.2fx); "
-      "lru hits %llu / misses %llu, batches %llu (max %llu)\n",
+      "lru hits %llu / misses %llu\n",
       serial_s, closed.wall_s, speedup,
       static_cast<unsigned long long>(closed_stats.lru_hits),
-      static_cast<unsigned long long>(closed_stats.lru_misses),
-      static_cast<unsigned long long>(closed_stats.batches),
-      static_cast<unsigned long long>(closed_stats.max_batch));
+      static_cast<unsigned long long>(closed_stats.lru_misses));
 
   report.concurrency(svc_options.workers, svc_options.shards);
   report.value("bit_identical", bit_identical ? 1.0 : 0.0);
@@ -448,9 +444,6 @@ int main(int argc, char** argv) {
                          static_cast<double>(closed_stats.lru_hits +
                                              closed_stats.lru_misses)
                    : 0.0);
-  report.value("batches", static_cast<std::uint64_t>(closed_stats.batches));
-  report.value("max_batch_observed",
-               static_cast<std::uint64_t>(closed_stats.max_batch));
   report.write();
   std::remove(store_path.c_str());
 
@@ -458,7 +451,7 @@ int main(int argc, char** argv) {
   // a failed bench run, not just a low number in the JSON.
   bool failed = false;
   if (!bit_identical) {
-    std::printf("FAIL: batched decisions diverge from serial replay "
+    std::printf("FAIL: service decisions diverge from serial replay "
                 "(%llu + %llu mismatches)\n",
                 static_cast<unsigned long long>(closed.mismatches),
                 static_cast<unsigned long long>(open.mismatches));

@@ -2,13 +2,6 @@
 
 #include <atomic>
 
-#if defined(__linux__) && defined(__arm__)
-#include <sys/auxv.h>
-#ifndef HWCAP_NEON
-#define HWCAP_NEON (1 << 12)
-#endif
-#endif
-
 namespace p2auth::backend {
 
 namespace {
@@ -24,12 +17,6 @@ Capability detect() noexcept {
   caps.avx2 = __builtin_cpu_supports("avx2");
   caps.avx512 = __builtin_cpu_supports("avx512f");
   caps.fma = __builtin_cpu_supports("fma");
-#elif defined(__aarch64__)
-  // AdvSIMD is architecturally mandatory on AArch64.
-  caps.neon = true;
-  caps.fma = true;
-#elif defined(__linux__) && defined(__arm__)
-  caps.neon = (getauxval(AT_HWCAP) & HWCAP_NEON) != 0;
 #endif
   return caps;
 }
@@ -44,8 +31,6 @@ const char* isa_name(Isa isa) noexcept {
       return "avx2";
     case Isa::kAvx512:
       return "avx512";
-    case Isa::kNeon:
-      return "neon";
   }
   return "scalar";
 }
@@ -72,8 +57,6 @@ bool supports(const Capability& caps, Isa isa) noexcept {
       return caps.avx2;
     case Isa::kAvx512:
       return caps.avx512;
-    case Isa::kNeon:
-      return caps.neon;
   }
   return false;
 }
@@ -89,7 +72,7 @@ bool compiled_in(std::span<const Isa> compiled, Isa isa) {
 
 Isa best_available(const Capability& caps, std::span<const Isa> compiled) {
   // Widest vectors first; scalar is the unconditional floor.
-  constexpr Isa kPreference[] = {Isa::kAvx512, Isa::kAvx2, Isa::kNeon};
+  constexpr Isa kPreference[] = {Isa::kAvx512, Isa::kAvx2};
   for (const Isa isa : kPreference) {
     if (compiled_in(compiled, isa) && supports(caps, isa)) return isa;
   }
@@ -109,7 +92,7 @@ Resolution resolve_backend(const char* requested, const Capability& caps,
   const std::optional<Isa> isa = parse_isa(out.requested);
   if (!isa) {
     throw BackendError("P2AUTH_BACKEND: unknown backend '" + out.requested +
-                       "' (expected scalar|avx2|avx512|neon)");
+                       "' (expected scalar|avx2|avx512)");
   }
   if (compiled_in(compiled, *isa) && supports(caps, *isa)) {
     out.isa = *isa;

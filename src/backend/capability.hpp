@@ -4,8 +4,8 @@
 // ridge dot/axpy) exist in several instruction-set variants compiled
 // into separate translation units (see policy.hpp).  This header owns
 // the *selection inputs*: what the host CPU supports (detected once via
-// CPUID / architecture predicates and cached) and how an operator's
-// `P2AUTH_BACKEND` override resolves against that.
+// CPUID and cached; non-x86 hosts support only the scalar kernels) and
+// how an operator's `P2AUTH_BACKEND` override resolves against that.
 //
 // Resolution contract (pinned by tests/test_backend.cpp):
 //   * an unknown backend name is a typed error (`BackendError`) — a
@@ -33,13 +33,11 @@ enum class Isa {
   kScalar,
   kAvx2,
   kAvx512,
-  kNeon,
 };
 
-inline constexpr Isa kAllIsas[] = {Isa::kScalar, Isa::kAvx2, Isa::kAvx512,
-                                   Isa::kNeon};
+inline constexpr Isa kAllIsas[] = {Isa::kScalar, Isa::kAvx2, Isa::kAvx512};
 
-// Canonical lower-case name ("scalar", "avx2", "avx512", "neon"); the
+// Canonical lower-case name ("scalar", "avx2", "avx512"); the
 // spelling accepted by P2AUTH_BACKEND and emitted in run reports.
 const char* isa_name(Isa isa) noexcept;
 
@@ -54,7 +52,6 @@ struct Capability {
   bool avx2 = false;
   bool avx512 = false;  // AVX-512 Foundation
   bool fma = false;
-  bool neon = false;
 };
 
 // Host capability, detected on first call and cached for the process
@@ -82,8 +79,7 @@ struct Resolution {
 // Resolves an override string (the value of P2AUTH_BACKEND, a
 // --backend= flag, ...) against `caps` and `compiled`:
 //   * nullptr / "" requests auto-selection: the best ISA that is both
-//     compiled in and supported (preference avx512 > avx2 > neon >
-//     scalar);
+//     compiled in and supported (preference avx512 > avx2 > scalar);
 //   * a known name that is compiled and supported wins outright;
 //   * a known name that is unavailable falls back to auto-selection and
 //     sets `fell_back`;
@@ -94,9 +90,9 @@ Resolution resolve_backend(const char* requested, const Capability& caps,
                            std::span<const Isa> compiled);
 
 namespace detail {
-// Number of times the CPUID/auxv probe actually ran (not the cache
-// hits).  Exposed so tests can pin the detect-exactly-once contract,
-// including under TSan.
+// Number of times the CPUID probe actually ran (not the cache hits).
+// Exposed so tests can pin the detect-exactly-once contract, including
+// under TSan.
 std::size_t capability_detect_count() noexcept;
 }  // namespace detail
 

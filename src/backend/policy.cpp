@@ -20,9 +20,6 @@ constexpr Isa kCompiled[] = {
 #if defined(P2AUTH_BACKEND_HAS_AVX512)
     Isa::kAvx512,
 #endif
-#if defined(P2AUTH_BACKEND_HAS_NEON)
-    Isa::kNeon,
-#endif
 };
 
 const KernelTable* table_for(Isa isa) noexcept {
@@ -36,10 +33,6 @@ const KernelTable* table_for(Isa isa) noexcept {
 #if defined(P2AUTH_BACKEND_HAS_AVX512)
     case Isa::kAvx512:
       return &avx512_kernel_table();
-#endif
-#if defined(P2AUTH_BACKEND_HAS_NEON)
-    case Isa::kNeon:
-      return &neon_kernel_table();
 #endif
     default:
       return nullptr;

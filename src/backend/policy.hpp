@@ -6,7 +6,7 @@
 // first use from, in priority order:
 //
 //   1. a process-local force_isa() override (tests, ops tooling);
-//   2. the P2AUTH_BACKEND environment variable (scalar|avx2|avx512|neon;
+//   2. the P2AUTH_BACKEND environment variable (scalar|avx2|avx512;
 //      unknown names throw BackendError, unavailable ISAs fall back to
 //      the best available — see capability.hpp);
 //   3. auto-selection: the widest ISA that is both compiled in and

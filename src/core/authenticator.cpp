@@ -152,8 +152,8 @@ PreparedAuth prepare_impl(const EnrolledUser& user,
 
   // --- Factor 2: keystroke-induced PPG verification — plan building.
   // Covers evidence validation and waveform extraction; the model
-  // scoring itself is deferred to the caller (serial in authenticate,
-  // batched across attempts in the service front end).
+  // scoring itself is left to the caller (authenticate scores each unit
+  // in turn).
   const obs::Span integration("auth.integration", "core");
 
   // Scoring-window evidence checks (strict policy only).  Channel-level
@@ -271,10 +271,7 @@ AuthResult authenticate_impl(const EnrolledUser& user,
   // Serial scoring: one MiniRocket scratch and one feature buffer serve
   // every model scored in this attempt (up to four per-key models or one
   // waveform model); warmed on the first attempt per thread, later
-  // attempts allocate nothing in the scoring hot path.  The batched
-  // service path routes the same units through
-  // WaveformModel::decisions, which is pinned bit-identical to this
-  // per-waveform loop by the differential suite.
+  // attempts allocate nothing in the scoring hot path.
   ml::TransformScratch& scratch = ml::thread_transform_scratch();
   thread_local linalg::Vector features;
   std::vector<double> decisions(prepared.units.size(), 0.0);

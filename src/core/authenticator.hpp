@@ -92,16 +92,14 @@ AuthResult authenticate(const EnrolledUser& user,
                         const AuthOptions& options = {});
 
 // ---------------------------------------------------------------------------
-// Two-phase decision pipeline.
+// Decision phases.
 //
-// `authenticate` is prepare -> score -> finish fused into one call.  The
-// phases are exposed so a request-level front end (src/service/) can run
-// the cheap per-request phases independently and batch the expensive
-// middle one: scoring units of *concurrent* attempts that target the
-// same model are pushed through one `WaveformModel::decisions` batch
-// (one `transform_batch` per model), which is bit-identical to the
-// per-waveform path — so a batched service decision equals a serial
-// `authenticate` replay of the same request, bit for bit.
+// `authenticate` is prepare -> score -> finish -> commit in one call, and
+// every front end (streaming, adapt, evaluation, the registry, the
+// service) decides through it.  The phases are public so the benchmark's
+// stage ledger can replay one attempt phase by phase and time each
+// stage; a replay that scores each unit with `WaveformModel::decision`
+// equals `authenticate`, bit for bit.
 
 // One deferred biometric scoring job: `waveform` is to be scored by
 // `model`; the signed decision value is handed back to
@@ -153,8 +151,10 @@ PreparedAuth prepare_authentication(const EnrolledUser& user,
 AuthResult finish_authentication(PreparedAuth prepared,
                                  std::span<const double> decisions);
 
-// Outcome bookkeeping shared by `authenticate` and the batched service
-// path: obs decision counters plus the decision flight recorder.
+// Outcome bookkeeping `authenticate` runs last: obs decision counters
+// plus the decision flight recorder.  Also called for attempts decided
+// outside `authenticate` (the service's reject of an observation the
+// pipeline threw on).
 void commit_decision(std::uint32_t user_id, const AuthResult& result);
 
 // Submits one decided attempt to the installed decision flight recorder

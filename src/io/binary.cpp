@@ -11,6 +11,7 @@
 
 #include "io/bytes.hpp"
 #include "io/detail.hpp"
+#include "util/crc32.hpp"
 #include "util/serialize.hpp"
 
 namespace p2auth::io {
@@ -131,7 +132,7 @@ std::vector<std::uint8_t> build_name_index(
   for (const NameEntry& e : entries) w.str(e.name);
   end_section(w, len_pos);
   const std::uint32_t crc =
-      crc32(std::span<const std::uint8_t>(w.buffer()));
+      util::crc32(std::span<const std::uint8_t>(w.buffer()));
   w.u32(kTagCrcTrailer);
   w.u32(crc);
   w.u64(0);
@@ -331,7 +332,8 @@ std::vector<std::uint8_t> build_user_record(const core::EnrolledUser& user) {
   // Patch the total length first so the CRC covers the final bytes.
   const std::uint64_t record_len = w.size() + kRecordTrailerBytes;
   w.patch_u64(len_pos, record_len);
-  const std::uint32_t crc = crc32(std::span<const std::uint8_t>(w.buffer()));
+  const std::uint32_t crc =
+      util::crc32(std::span<const std::uint8_t>(w.buffer()));
   w.u32(kTagCrcTrailer);
   w.u32(crc);
   w.u64(0);
@@ -354,7 +356,7 @@ void verify_record_crc(std::span<const std::uint8_t> record) {
     fail(SerializeErrc::kBadValue, "nonzero trailer reserved bytes");
   }
   const std::uint32_t computed =
-      crc32(record.first(record.size() - kRecordTrailerBytes));
+      util::crc32(record.first(record.size() - kRecordTrailerBytes));
   if (stored != computed) {
     fail(SerializeErrc::kBadCrc, "record checksum mismatch");
   }
@@ -630,7 +632,7 @@ detail::RegistryLayout detail::parse_registry_layout(
     if (t.u64() != 0) {
       t.fail(SerializeErrc::kBadValue, "nonzero trailer reserved bytes");
     }
-    const std::uint32_t computed = crc32(
+    const std::uint32_t computed = util::crc32(
         index_region.first(static_cast<std::size_t>(index_bytes)));
     if (stored != computed) {
       t.fail(SerializeErrc::kBadCrc, "index checksum mismatch");

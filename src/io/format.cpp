@@ -1,39 +1,6 @@
 #include "io/format.hpp"
 
-#include <array>
-
 namespace p2auth::io {
-
-namespace {
-
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? (c >> 1) ^ 0xEDB88320u : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
-
-}  // namespace
-
-std::uint32_t crc32_update(std::uint32_t crc,
-                           std::span<const std::uint8_t> bytes) noexcept {
-  std::uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (const std::uint8_t b : bytes) {
-    c = kCrcTable[(c ^ b) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
-
-std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept {
-  return crc32_update(0, bytes);
-}
 
 std::uint64_t fnv1a64(std::string_view s) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ull;

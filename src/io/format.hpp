@@ -95,11 +95,6 @@ constexpr std::uint64_t align8(std::uint64_t n) noexcept {
   return (n + 7u) & ~std::uint64_t{7};
 }
 
-// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-driven.
-std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept;
-std::uint32_t crc32_update(std::uint32_t crc,
-                           std::span<const std::uint8_t> bytes) noexcept;
-
 // FNV-1a 64-bit — the name-index hash.  Stored in the file, so it is
 // part of the format and must never change.
 std::uint64_t fnv1a64(std::string_view s) noexcept;

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "obs/sketch.hpp"
+#include "util/crc32.hpp"
 
 namespace p2auth::obs {
 
@@ -126,17 +127,6 @@ std::string code_name(const std::function<std::string(std::uint8_t)>& fn,
 
 }  // namespace
 
-std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept {
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::uint8_t byte : data) {
-    crc ^= byte;
-    for (int k = 0; k < 8; ++k) {
-      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
-    }
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
 // ---------------------------------------------------------------------------
 // AuditRing
 
@@ -221,7 +211,7 @@ AuditRecorder::AuditRecorder(std::string path, Options options)
   put_bytes(header, kFileMagic, sizeof(kFileMagic));
   put_le(header, kAuditFormatVersion);
   put_le(header, std::uint16_t{0});  // reserved
-  put_le(header, crc32(header));
+  put_le(header, util::crc32(header));
   file_->stream.write(reinterpret_cast<const char*>(header.data()),
                       static_cast<std::streamsize>(header.size()));
   bytes_.store(header.size(), std::memory_order_relaxed);
@@ -256,7 +246,7 @@ void AuditRecorder::write_frame(const DecisionRecord& record) {
   put_le(buf, kAuditFormatVersion);
   put_le(buf, static_cast<std::uint16_t>(kPayloadV1));
   encode_payload(record, buf);
-  const std::uint32_t crc = crc32(
+  const std::uint32_t crc = util::crc32(
       std::span<const std::uint8_t>(buf.data() + body_begin,
                                     buf.size() - body_begin));
   put_le(buf, crc);
@@ -363,7 +353,7 @@ AuditReadResult read_audit_log(std::istream& is) {
       (static_cast<std::uint32_t>(header[13]) << 8) |
       (static_cast<std::uint32_t>(header[14]) << 16) |
       (static_cast<std::uint32_t>(header[15]) << 24);
-  if (crc32(std::span<const std::uint8_t>(header, 12)) != header_crc) {
+  if (util::crc32(std::span<const std::uint8_t>(header, 12)) != header_crc) {
     return fail(AuditError::kBadHeader, 0);
   }
   if (file_version != kAuditFormatVersion) {
@@ -407,7 +397,9 @@ AuditReadResult read_audit_log(std::istream& is) {
         (static_cast<std::uint32_t>(frame[length + 1]) << 8) |
         (static_cast<std::uint32_t>(frame[length + 2]) << 16) |
         (static_cast<std::uint32_t>(frame[length + 3]) << 24);
-    if (crc32(covered) != stored) return fail(AuditError::kBadCrc, offset);
+    if (util::crc32(covered) != stored) {
+      return fail(AuditError::kBadCrc, offset);
+    }
     // Version gate *after* the integrity check: a record from a newer
     // writer is intact but not interpretable; typed error, no guessing.
     if (version != kAuditFormatVersion) {

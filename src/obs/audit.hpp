@@ -189,10 +189,6 @@ struct AuditReadResult {
 AuditReadResult read_audit_log(std::istream& is);
 AuditReadResult read_audit_log(const std::string& path);
 
-// CRC32 (IEEE 802.3, polynomial 0xEDB88320) over `data`, exposed for the
-// corruption tests and future binary formats sharing the framing.
-std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept;
-
 // ---------------------------------------------------------------------------
 // Exports
 

@@ -1,9 +1,9 @@
 // Decision checksums: one 64-bit digest over every decision-bearing
 // field of an AuthResult.
 //
-// The service's batched concurrent path must be *bit-identical* to a
-// serial per-request replay; the load harness and the integration tests
-// prove it by checksumming each response and comparing against a hidden
+// A concurrent service decision must be *bit-identical* to a serial
+// per-request replay; the load harness and the integration tests prove
+// it by checksumming each response and comparing against a hidden
 // ground-truth digest computed from serial `core::authenticate` on the
 // same (user, observation).  Wall-clock fields (stage latencies) are
 // deliberately excluded — they are measurements, not decision state.

@@ -3,22 +3,20 @@
 // Admission control is load shedding, not back-pressure: `try_push`
 // NEVER blocks — a full queue refuses the item immediately so the caller
 // can return the typed kOverloaded rejection while the client still
-// cares about the answer.  Consumers block in `pop_batch`, which hands
-// back up to `max` items at once: everything a worker drains in one wake
-// forms one scoring batch, so batch size adapts to the instantaneous
-// backlog (1 under light load, `max` under pressure).
+// cares about the answer.  Consumers block in `pop`, which hands back the
+// oldest item.
 //
 // Shutdown contract: `close()` refuses further pushes but pops continue
 // until the queue is drained — every admitted item is handed to exactly
-// one consumer, then `pop_batch` returns false forever.
+// one consumer, then `pop` returns std::nullopt forever.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <utility>
-#include <vector>
 
 namespace p2auth::service {
 
@@ -39,20 +37,16 @@ class BoundedQueue {
     return true;
   }
 
-  // Blocks until at least one item is available (or the queue is closed
-  // and drained), then moves up to `max` items into `out` (cleared
-  // first).  Returns false only on closed-and-drained.
-  bool pop_batch(std::size_t max, std::vector<T>& out) {
-    out.clear();
+  // Blocks until an item is available (or the queue is closed and
+  // drained), then hands back the oldest item.  std::nullopt only on
+  // closed-and-drained.
+  std::optional<T> pop() {
     std::unique_lock<std::mutex> lock(mu_);
     ready_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return false;  // closed and drained
-    const std::size_t take = max == 0 ? 1 : std::min(max, items_.size());
-    for (std::size_t i = 0; i < take; ++i) {
-      out.push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
-    return true;
+    if (items_.empty()) return std::nullopt;  // closed and drained
+    std::optional<T> item(std::move(items_.front()));
+    items_.pop_front();
+    return item;
   }
 
   // Refuses further pushes and wakes every blocked consumer.  Items

@@ -1,17 +1,14 @@
 #include "service/service.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
-#include "obs/audit.hpp"
+#include "io/format.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
-#include "obs/trace.hpp"
 #include "service/lru.hpp"
 #include "service/queue.hpp"
 #include "util/thread_pool.hpp"
@@ -54,8 +51,7 @@ struct AuthService::Impl {
   // Stats (relaxed atomics: monotonic counters, no ordering needed).
   std::atomic<std::uint64_t> submitted{0}, admitted{0}, overloaded{0},
       shutdown_rejects{0}, completed{0}, unknown_user{0}, accepted{0},
-      lru_hits{0}, lru_misses{0}, batches{0}, batched_requests{0},
-      max_batch{0};
+      lru_hits{0}, lru_misses{0};
 
   Impl(std::shared_ptr<ModelSource> src, const ServiceOptions& opts)
       : source(std::move(src)), options(opts),
@@ -87,14 +83,14 @@ struct AuthService::Impl {
         std::make_shared<const core::EnrolledUser>(std::move(*loaded));
     std::lock_guard<std::mutex> lock(shard.mu);
     // Re-check: if a racing miss inserted meanwhile, adopt the cached
-    // pointer so one canonical model per name feeds batch grouping.
+    // pointer so the cache keeps one canonical model per name.
     if (auto* hit = shard.cache.find(name)) return *hit;
     shard.cache.insert(std::string(name), model);
     return model;
   }
 
   std::size_t shard_index(std::string_view name) const noexcept {
-    return static_cast<std::size_t>(route_hash(name) %
+    return static_cast<std::size_t>(io::fnv1a64(name) %
                                     static_cast<std::uint64_t>(shards.size()));
   }
 
@@ -108,144 +104,53 @@ struct AuthService::Impl {
   }
 
   void worker_loop() {
-    std::vector<Pending> batch;
-    while (queue.pop_batch(options.max_batch, batch)) {
-      process_batch(batch);
-    }
+    while (std::optional<Pending> pending = queue.pop()) decide(*pending);
     obs::flush_thread_metrics();
   }
 
-  void process_batch(std::vector<Pending>& batch);
+  void decide(Pending& pending);
 };
 
-void AuthService::Impl::process_batch(std::vector<Pending>& batch) {
-  // One request mid-flight through this batch.
-  struct Slot {
-    Pending* pending = nullptr;
-    std::shared_ptr<const core::EnrolledUser> user;
-    core::PreparedAuth prepared;
-    std::vector<double> decisions;  // unit order
-    std::int64_t start_us = 0;      // dequeue time (service_us anchor)
-    bool open = false;              // still needs finish + respond
-  };
+void AuthService::Impl::decide(Pending& pending) {
+  const std::int64_t start_us = obs::now_us();
+  AuthResponse response;
+  response.request_id = pending.request.request_id;
+  response.queue_us = static_cast<double>(start_us - pending.enqueue_us);
+  obs::observe_latency_us("service.queue_us", response.queue_us);
 
-  const obs::Span span("service.batch", "service");
-  const bool timed = obs::enabled() || obs::audit_recorder() != nullptr;
-  batches.fetch_add(1, std::memory_order_relaxed);
-  obs::add_counter("service.batches");
-  if (batch.size() > 1) {
-    batched_requests.fetch_add(batch.size(), std::memory_order_relaxed);
+  const std::shared_ptr<const core::EnrolledUser> user =
+      resolve(pending.request.user);
+  if (user == nullptr) {
+    unknown_user.fetch_add(1, std::memory_order_relaxed);
+    obs::add_counter("service.unknown_user");
+    response.status = RequestStatus::kUnknownUser;
+    response.service_us = static_cast<double>(obs::now_us() - start_us);
+    pending.promise.set_value(std::move(response));
+    return;
   }
-  std::uint64_t seen = max_batch.load(std::memory_order_relaxed);
-  while (batch.size() > seen &&
-         !max_batch.compare_exchange_weak(seen, batch.size(),
-                                          std::memory_order_relaxed)) {
+  try {
+    response.result =
+        core::authenticate(*user, pending.request.observation, options.auth);
+  } catch (const std::exception&) {
+    // An observation the models cannot score (empty trace, ragged
+    // channels, a channel count or sample rate other than the enrolled
+    // one) throws; the service answers it like the pipeline answers an
+    // inconsistent keystroke log.  authenticate threw before committing,
+    // so the service commits this reject itself.
+    response.result = core::AuthResult{};
+    response.result.reason = core::RejectReason::kMalformedEntry;
+    core::commit_decision(user->user_id, response.result);
   }
-
-  // --- Per-request phases: resolve + prepare. -------------------------
-  std::vector<Slot> slots(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Slot& slot = slots[i];
-    slot.pending = &batch[i];
-    slot.start_us = obs::now_us();
-    AuthResponse response;
-    response.request_id = batch[i].request.request_id;
-    response.queue_us =
-        static_cast<double>(slot.start_us - batch[i].enqueue_us);
-    obs::observe_latency_us("service.queue_us", response.queue_us);
-
-    slot.user = resolve(batch[i].request.user);
-    if (slot.user == nullptr) {
-      unknown_user.fetch_add(1, std::memory_order_relaxed);
-      obs::add_counter("service.unknown_user");
-      response.status = RequestStatus::kUnknownUser;
-      response.service_us =
-          static_cast<double>(obs::now_us() - slot.start_us);
-      batch[i].promise.set_value(std::move(response));
-      continue;
-    }
-    try {
-      slot.prepared = core::prepare_authentication(
-          *slot.user, batch[i].request.observation, options.auth);
-    } catch (const std::exception&) {
-      // A structurally invalid observation (empty trace, ragged
-      // channels) throws in preprocessing; the service answers it like
-      // the pipeline answers an inconsistent keystroke log.
-      slot.prepared = core::PreparedAuth{};
-      slot.prepared.decided = true;
-      slot.prepared.result.reason = core::RejectReason::kMalformedEntry;
-    }
-    slot.decisions.assign(slot.prepared.units.size(), 0.0);
-    slot.open = true;
+  response.batch_size = 1;
+  completed.fetch_add(1, std::memory_order_relaxed);
+  if (response.result.accepted) {
+    accepted.fetch_add(1, std::memory_order_relaxed);
   }
-
-  // --- Shared scoring: group every unit in the batch by target model
-  // and push each group through one WaveformModel::decisions call (one
-  // transform_batch per model).  Grouping order is first-appearance, so
-  // the batch composition — not pointer values — drives the layout;
-  // either way each waveform's features are computed independently and
-  // bit-identically to the serial loop.
-  struct Group {
-    const core::WaveformModel* model = nullptr;
-    std::vector<std::vector<core::Series>> waveforms;
-    std::vector<std::pair<std::size_t, std::size_t>> origin;  // slot, unit
-  };
-  std::vector<Group> groups;
-  std::unordered_map<const core::WaveformModel*, std::size_t> group_of;
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    if (!slots[s].open) continue;
-    auto& units = slots[s].prepared.units;
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      const auto [it, fresh] =
-          group_of.try_emplace(units[u].model, groups.size());
-      if (fresh) {
-        groups.emplace_back();
-        groups.back().model = units[u].model;
-      }
-      Group& g = groups[it->second];
-      g.waveforms.push_back(std::move(units[u].waveform));
-      g.origin.emplace_back(s, u);
-    }
-  }
-  for (Group& g : groups) {
-    const linalg::Vector scores =
-        g.model->decisions(g.waveforms, options.batch_threads);
-    for (std::size_t i = 0; i < g.origin.size(); ++i) {
-      slots[g.origin[i].first].decisions[g.origin[i].second] = scores[i];
-    }
-  }
-
-  // --- Per-request integration + response. ----------------------------
-  for (Slot& slot : slots) {
-    if (!slot.open) continue;
-    AuthResponse response;
-    response.request_id = slot.pending->request.request_id;
-    response.queue_us =
-        static_cast<double>(slot.start_us - slot.pending->enqueue_us);
-    response.batch_size = batch.size();
-    core::AuthResult result = core::finish_authentication(
-        std::move(slot.prepared), slot.decisions);
-    if (timed) {
-      // Same staging as core::authenticate; in batched mode model_us
-      // covers the shared scoring section's wall time.
-      result.latencies.total_us =
-          static_cast<double>(obs::now_us() - slot.start_us);
-      const double staged =
-          result.latencies.pin_us + result.latencies.preprocess_us;
-      result.latencies.model_us =
-          std::max(0.0, result.latencies.total_us - staged);
-    }
-    core::commit_decision(slot.user->user_id, result);
-    completed.fetch_add(1, std::memory_order_relaxed);
-    if (result.accepted) accepted.fetch_add(1, std::memory_order_relaxed);
-    obs::add_counter("service.completed");
-    response.service_us =
-        static_cast<double>(obs::now_us() - slot.start_us);
-    obs::observe_latency_us("service.total_us",
-                            response.queue_us + response.service_us);
-    response.result = std::move(result);
-    slot.pending->promise.set_value(std::move(response));
-  }
+  obs::add_counter("service.completed");
+  response.service_us = static_cast<double>(obs::now_us() - start_us);
+  obs::observe_latency_us("service.total_us",
+                          response.queue_us + response.service_us);
+  pending.promise.set_value(std::move(response));
 }
 
 AuthService::AuthService(std::shared_ptr<ModelSource> source,
@@ -261,7 +166,6 @@ AuthService::AuthService(std::shared_ptr<ModelSource> source,
     throw std::invalid_argument(
         "AuthService: queue capacity must be positive");
   }
-  if (options.max_batch == 0) options_.max_batch = 1;
   impl_ = std::make_unique<Impl>(std::move(source), options_);
   const std::size_t workers = util::resolve_threads(options_.workers);
   impl_->workers.reserve(workers);
@@ -331,26 +235,11 @@ ServiceStats AuthService::stats() const {
   out.lru_hits = impl_->lru_hits.load(std::memory_order_relaxed);
   out.lru_misses = impl_->lru_misses.load(std::memory_order_relaxed);
   out.evictions = impl_->cache_evictions();
-  out.batches = impl_->batches.load(std::memory_order_relaxed);
-  out.batched_requests =
-      impl_->batched_requests.load(std::memory_order_relaxed);
-  out.max_batch = impl_->max_batch.load(std::memory_order_relaxed);
   return out;
 }
 
 std::size_t AuthService::shard_of(std::string_view user) const noexcept {
   return impl_->shard_index(user);
-}
-
-std::uint64_t AuthService::route_hash(std::string_view user) noexcept {
-  // FNV-1a64: the same family the mmap registry's name index uses, so
-  // routing stays deterministic across processes and platforms.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : user) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 
 }  // namespace p2auth::service

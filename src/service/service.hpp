@@ -4,21 +4,16 @@
 // Architecture (DESIGN.md "Service layer" has the full story):
 //
 //   submit() ──▶ bounded admission queue ──▶ worker threads
-//                (full ⇒ typed kOverloaded)      │
-//                                                ▼  batch of up to
-//                                                   max_batch requests
+//                (full ⇒ typed kOverloaded)      │ one request
+//                                                ▼ per wake
 //        shard[h(name) % N]: mutex + LRU of materialized models
 //                │ miss ⇒ ModelSource::load (mmap materialize)
 //                ▼
-//        prepare_authentication per request (PIN, preprocess, gating,
-//        waveform extraction) — then all scoring units of the batch are
-//        grouped by target model and pushed through ONE
-//        WaveformModel::decisions call per model (one transform_batch
-//        under the hood), then finish_authentication integrates votes
-//        per request.  WaveformModel::decisions is pinned bit-identical
-//        to the per-waveform scoring loop, so a batched service decision
-//        equals a serial core::authenticate replay, bit for bit — the
-//        harness tests and bench_service enforce this with checksums.
+//        core::authenticate on the resolved model — the same call every
+//        other front end makes, so a service decision equals a serial
+//        replay bit for bit (the harness tests and bench_service check
+//        this with checksums).  An observation the pipeline cannot
+//        decide is answered with a typed kMalformedEntry reject.
 //
 // Shutdown: stop() refuses new submissions (immediate kShuttingDown
 // responses), closes the queue, and joins the workers after they drain
@@ -62,11 +57,6 @@ struct ServiceOptions {
   std::size_t queue_capacity = 1024;
   // Worker threads (0 = util::resolve_threads default).
   std::size_t workers = 2;
-  // Upper bound on requests decided in one scoring batch.
-  std::size_t max_batch = 16;
-  // Thread budget for the shared transform_batch inside a batch (1 =
-  // inline on the worker; >1 fans the tiles out over the shared pool).
-  std::size_t batch_threads = 1;
   core::AuthOptions auth{};
 };
 
@@ -84,7 +74,9 @@ struct AuthResponse {
   // Service-side timings (microseconds; decision state excludes them).
   double queue_us = 0.0;    // admission -> dequeue
   double service_us = 0.0;  // dequeue -> decision
-  // How many requests shared this scoring batch.
+  // 1 on every decided (kOk) response: a worker decides one request at
+  // a time.  Kept only for the benchmark's service.batch_size rows and
+  // to be dropped with them.
   std::size_t batch_size = 0;
 };
 
@@ -100,9 +92,6 @@ struct ServiceStats {
   std::uint64_t lru_hits = 0;
   std::uint64_t lru_misses = 0;   // materializations
   std::uint64_t evictions = 0;
-  std::uint64_t batches = 0;      // scoring batches processed
-  std::uint64_t batched_requests = 0;  // requests in multi-request batches
-  std::uint64_t max_batch = 0;    // largest batch observed
 };
 
 class AuthService {
@@ -132,7 +121,6 @@ class AuthService {
 
   // Deterministic shard routing, exposed so tests can pin it.
   std::size_t shard_of(std::string_view user) const noexcept;
-  static std::uint64_t route_hash(std::string_view user) noexcept;
 
  private:
   struct Pending;

@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include "core/types.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace p2auth::obs {
@@ -284,7 +285,8 @@ TEST(AuditReader, HeaderVersionSkewIsTyped) {
   // version (not integrity) is wrong.
   bytes[8] = 2;
   const auto* data = reinterpret_cast<const std::uint8_t*>(bytes.data());
-  const std::uint32_t crc = crc32(std::span<const std::uint8_t>(data, 12));
+  const std::uint32_t crc =
+      util::crc32(std::span<const std::uint8_t>(data, 12));
   for (int i = 0; i < 4; ++i) {
     bytes[12 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
   }
@@ -346,7 +348,7 @@ TEST(AuditReader, FrameVersionSkewDetectedAfterIntegrityCheck) {
   std::vector<std::uint8_t> covered(
       bytes.begin() + static_cast<std::ptrdiff_t>(frame + 4),
       bytes.begin() + static_cast<std::ptrdiff_t>(frame + 8 + 64));
-  const std::uint32_t crc = crc32(covered);
+  const std::uint32_t crc = util::crc32(covered);
   for (int i = 0; i < 4; ++i) {
     bytes[frame + 72 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
   }

@@ -75,17 +75,19 @@ TEST(BackendResolve, UnknownNameThrowsTypedError) {
   } catch (const BackendError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("unknown backend 'see2'"), std::string::npos) << what;
-    EXPECT_NE(what.find("scalar|avx2|avx512|neon"), std::string::npos)
+    EXPECT_NE(what.find("(expected scalar|avx2|avx512)"), std::string::npos)
         << what;
   }
-  // The removed SSE2 backend is an unknown name, not a fallback.
+  // The removed SSE2 and NEON backends are unknown names, not fallbacks.
   EXPECT_THROW((void)resolve_backend("sse2", caps, compiled_isas()),
+               BackendError);
+  EXPECT_THROW((void)resolve_backend("neon", caps, compiled_isas()),
                BackendError);
 }
 
 TEST(BackendResolve, AutoSelectionPrefersWidestSupportedVectors) {
   Capability caps;  // nothing supported -> scalar floor
-  const Isa all[] = {Isa::kScalar, Isa::kAvx2, Isa::kAvx512, Isa::kNeon};
+  const Isa all[] = {Isa::kScalar, Isa::kAvx2, Isa::kAvx512};
   EXPECT_EQ(resolve_backend(nullptr, caps, all).isa, Isa::kScalar);
   caps.avx2 = true;
   EXPECT_EQ(resolve_backend("", caps, all).isa, Isa::kAvx2);

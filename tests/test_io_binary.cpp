@@ -6,12 +6,14 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/serialization.hpp"
 #include "io/format.hpp"
 #include "io/mmap_registry.hpp"
 #include "io_fixtures.hpp"
+#include "util/crc32.hpp"
 #include "util/serialize.hpp"
 
 namespace p2auth::io {
@@ -49,6 +51,22 @@ struct TempFile {
   explicit TempFile(std::string name) : path(std::move(name)) {}
   ~TempFile() { std::remove(path.c_str()); }
 };
+
+// The CRC-32 stored in every P2MDL001 trailer and audit-log frame.  The
+// fuzz suites recompute it with the same function, so only fixed
+// vectors catch a change to its value: the IEEE check value of
+// "123456789", the empty input, and two more standard strings.
+TEST(Crc32, IeeeKnownVectors) {
+  const auto crc_of = [](std::string_view s) {
+    return util::crc32(std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
+  };
+  EXPECT_EQ(crc_of("123456789"), 0xCBF43926u);
+  EXPECT_EQ(crc_of(""), 0u);
+  EXPECT_EQ(crc_of("a"), 0xE8B7BE43u);
+  EXPECT_EQ(crc_of("The quick brown fox jumps over the lazy dog"),
+            0x414FA339u);
+}
 
 TEST(IoBinary, UserRoundTripIsLossless) {
   const EnrolledUser user = fixture_user();

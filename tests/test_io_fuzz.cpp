@@ -20,6 +20,7 @@
 #include "io/bytes.hpp"
 #include "io/format.hpp"
 #include "io_fixtures.hpp"
+#include "util/crc32.hpp"
 #include "util/serialize.hpp"
 
 namespace p2auth::io {
@@ -95,7 +96,7 @@ void restamp_user_crc(std::string& file) {
   const std::span<const std::uint8_t> record(
       bytes + kFileHeaderBytes, file.size() - kFileHeaderBytes);
   const std::uint32_t crc =
-      crc32(record.first(record.size() - kRecordTrailerBytes));
+      util::crc32(record.first(record.size() - kRecordTrailerBytes));
   std::memcpy(bytes + file.size() - 12, &crc, sizeof(crc));
 }
 
@@ -283,7 +284,7 @@ std::string make_registry_image(std::size_t n_records,
   w.str(blob);
   w.patch_u64(len_pos, w.size() - (len_pos + 8));
   w.pad8();
-  const std::uint32_t crc = crc32(std::span<const std::uint8_t>(
+  const std::uint32_t crc = util::crc32(std::span<const std::uint8_t>(
       w.buffer().data() + index_start, w.size() - index_start));
   w.u32(kTagCrcTrailer);
   w.u32(crc);

@@ -1,8 +1,8 @@
 // Service-layer suite: shard routing, the per-shard LRU, the bounded
 // admission queue, typed overload shedding, graceful shutdown, and the
-// batched scoring path's bit-identity against serial authentication.
+// service decisions' bit-identity against serial authentication.
 //
-// Concurrency-sensitive cases (overload, drain, batching) are made
+// Concurrency-sensitive cases (overload, drain, backlog) are made
 // deterministic with a gate source: a ModelSource wrapper whose load()
 // blocks until the test releases it, so the worker can be parked at a
 // known point while the test arranges the queue state it wants.
@@ -21,6 +21,7 @@
 
 #include "bench_common.hpp"
 #include "core/enrollment.hpp"
+#include "io/format.hpp"
 #include "service/checksum.hpp"
 #include "service/lru.hpp"
 #include "service/queue.hpp"
@@ -72,20 +73,16 @@ TEST(BoundedQueue, TryPushRefusesWhenFull) {
   EXPECT_TRUE(queue.try_push(1));
   EXPECT_TRUE(queue.try_push(2));
   EXPECT_FALSE(queue.try_push(3));  // full: refused, not blocked
-  std::vector<int> out;
-  EXPECT_TRUE(queue.pop_batch(10, out));
-  EXPECT_EQ(out.size(), 2u);
-  EXPECT_TRUE(queue.try_push(4));
+  EXPECT_EQ(queue.pop(), 1);
+  EXPECT_TRUE(queue.try_push(4));  // one slot free again
+  EXPECT_FALSE(queue.try_push(5));
 }
 
-TEST(BoundedQueue, PopBatchHonorsMaxBatch) {
+TEST(BoundedQueue, PopReturnsItemsInFifoOrder) {
   BoundedQueue<int> queue(8);
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(queue.try_push(int(i)));
-  std::vector<int> out;
-  ASSERT_TRUE(queue.pop_batch(3, out));
-  EXPECT_EQ(out.size(), 3u);
-  ASSERT_TRUE(queue.pop_batch(3, out));
-  EXPECT_EQ(out.size(), 2u);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(queue.pop(), i);
+  EXPECT_EQ(queue.size(), 0u);
 }
 
 TEST(BoundedQueue, CloseDrainsThenStops) {
@@ -93,17 +90,14 @@ TEST(BoundedQueue, CloseDrainsThenStops) {
   ASSERT_TRUE(queue.try_push(1));
   queue.close();
   EXPECT_FALSE(queue.try_push(2));  // no admissions after close
-  std::vector<int> out;
-  EXPECT_TRUE(queue.pop_batch(4, out));  // drains what was admitted
-  EXPECT_EQ(out.size(), 1u);
-  EXPECT_FALSE(queue.pop_batch(4, out));  // closed + drained
+  EXPECT_EQ(queue.pop(), 1);             // drains what was admitted
+  EXPECT_EQ(queue.pop(), std::nullopt);  // closed + drained
 }
 
 TEST(BoundedQueue, CloseWakesBlockedConsumer) {
   BoundedQueue<int> queue(4);
   std::thread consumer([&] {
-    std::vector<int> out;
-    EXPECT_FALSE(queue.pop_batch(4, out));  // wakes on close, not forever
+    EXPECT_EQ(queue.pop(), std::nullopt);  // wakes on close, not forever
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   queue.close();
@@ -114,11 +108,12 @@ TEST(BoundedQueue, CloseWakesBlockedConsumer) {
 // Shard routing
 
 TEST(Routing, Fnv1a64KnownVectors) {
-  // Standard FNV-1a64 test vectors: routing must stay stable across
+  // Standard FNV-1a64 test vectors: shards route by io::fnv1a64, the
+  // store's name-index hash, so routing must stay stable across
   // processes, platforms and releases.
-  EXPECT_EQ(AuthService::route_hash(""), 0xcbf29ce484222325ull);
-  EXPECT_EQ(AuthService::route_hash("a"), 0xaf63dc4c8601ec8cull);
-  EXPECT_EQ(AuthService::route_hash("abc"), 0xe71fa2190541574bull);
+  EXPECT_EQ(io::fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(io::fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(io::fnv1a64("abc"), 0xe71fa2190541574bull);
 }
 
 TEST(Routing, DeterministicAcrossInstances) {
@@ -222,7 +217,6 @@ TEST(Service, OverloadShedsTyped) {
   ServiceOptions options;
   options.workers = 1;
   options.queue_capacity = 1;
-  options.max_batch = 1;
   AuthService svc(std::shared_ptr<ModelSource>(gate), options);
 
   auto inflight = svc.submit(named_request(0, "gate0"));
@@ -257,7 +251,6 @@ TEST(Service, ShutdownDrainsAdmittedExactlyOnce) {
   ServiceOptions options;
   options.workers = 1;
   options.queue_capacity = 8;
-  options.max_batch = 2;
   AuthService svc(std::shared_ptr<ModelSource>(gate), options);
 
   auto inflight = svc.submit(named_request(0, "gate0"));
@@ -349,7 +342,6 @@ TEST(Service, DecisionsMatchSerialAuthentication) {
   auto source = aliased_source(2);
   ServiceOptions options;
   options.workers = 2;
-  options.max_batch = 4;
   AuthService svc(std::shared_ptr<ModelSource>(source), options);
   std::vector<std::future<AuthResponse>> futures;
   std::vector<std::uint64_t> expected;
@@ -383,7 +375,6 @@ TEST(Service, LruEvictionRematerializesCorrectly) {
   options.shards = 1;
   options.lru_capacity = 1;
   options.workers = 1;
-  options.max_batch = 1;
   AuthService svc(std::shared_ptr<ModelSource>(source), options);
   const core::Observation obs = f.fresh_observation(77);
   std::vector<std::uint64_t> expected;
@@ -411,15 +402,14 @@ TEST(Service, LruEvictionRematerializesCorrectly) {
 }
 
 // Parking the single worker lets a backlog accumulate; releasing it must
-// decide the backlog as one shared scoring batch — and still match the
-// serial oracle bit for bit.
+// decide the backlog one request at a time — each matching the serial
+// oracle bit for bit.
 TEST(Service, BatchedBacklogMatchesSerial) {
   const Enrolled& f = fixture();
   auto inner = aliased_source(2);
   auto gate = std::make_shared<GateSource>(inner, "gate");
   ServiceOptions options;
   options.workers = 1;
-  options.max_batch = 8;
   AuthService svc(std::shared_ptr<ModelSource>(gate), options);
 
   auto parked = svc.submit(named_request(99, "gate0"));
@@ -441,16 +431,15 @@ TEST(Service, BatchedBacklogMatchesSerial) {
     const AuthResponse response = futures[i].get();
     ASSERT_EQ(response.status, RequestStatus::kOk);
     EXPECT_EQ(decision_checksum(response.result), expected[i])
-        << "batched request " << i << " diverged from serial authenticate";
-    EXPECT_EQ(response.batch_size, 5u);  // the whole backlog in one batch
+        << "backlogged request " << i << " diverged from serial authenticate";
+    EXPECT_EQ(response.batch_size, 1u);  // one request per decision
   }
   svc.stop();
-  const ServiceStats stats = svc.stats();
-  EXPECT_EQ(stats.max_batch, 5u);
-  EXPECT_GE(stats.batched_requests, 5u);
+  EXPECT_EQ(svc.stats().completed, 5u);
 }
 
 TEST(Service, MalformedObservationIsDecidedNotFatal) {
+  const Enrolled& f = fixture();
   auto source = aliased_source(1);
   ServiceOptions options;
   options.workers = 1;
@@ -463,7 +452,38 @@ TEST(Service, MalformedObservationIsDecidedNotFatal) {
   EXPECT_EQ(response.status, RequestStatus::kOk);
   EXPECT_FALSE(response.result.accepted);
   EXPECT_NE(response.result.reason, core::RejectReason::kNone);
+
+  // Observations the enrolled models cannot score: one PPG channel
+  // fewer than enrolled, and a trace labeled 50 Hz instead of the
+  // enrolled rate.  Serial authenticate throws on both; the service
+  // answers each with a typed malformed-entry reject.
+  core::Observation dropped = f.fresh_observation(91);
+  ASSERT_GT(dropped.trace.channels.size(), 1u);
+  dropped.trace.channels.pop_back();
+  core::Observation relabeled = f.fresh_observation(92);
+  ASSERT_NE(relabeled.trace.rate_hz, 50.0);
+  relabeled.trace.rate_hz = 50.0;
+  std::uint64_t id = 6;
+  for (core::Observation* obs : {&dropped, &relabeled}) {
+    AuthRequest bad = named_request(id++, "user0");
+    bad.observation = *obs;
+    const AuthResponse r = svc.submit(std::move(bad)).get();
+    EXPECT_EQ(r.status, RequestStatus::kOk);
+    EXPECT_FALSE(r.result.accepted);
+    EXPECT_EQ(r.result.reason, core::RejectReason::kMalformedEntry);
+  }
+
+  // The same single worker survived and still decides a valid request.
+  const core::Observation valid = f.fresh_observation(93);
+  const std::uint64_t expected =
+      decision_checksum(core::authenticate(*source->load("user0"), valid));
+  AuthRequest good = named_request(id, "user0");
+  good.observation = valid;
+  const AuthResponse r = svc.submit(std::move(good)).get();
+  ASSERT_EQ(r.status, RequestStatus::kOk);
+  EXPECT_EQ(decision_checksum(r.result), expected);
   svc.stop();
+  EXPECT_EQ(svc.stats().completed, 4u);
 }
 
 // ---------------------------------------------------------------------

@@ -5,10 +5,10 @@
 // deterministic seeded workload, keeps a secret checksum per request
 // (computed through an INDEPENDENT path — serial core::authenticate on
 // a separately materialized copy of each user), then replays the same
-// workload through the batched concurrent service and asserts every
-// decision digest matches bit for bit.  A second pass replays the
-// workload through a single-worker, batch-of-one service to pin
-// concurrent == serial at the service layer too.
+// workload through the concurrent service and asserts every decision
+// digest matches bit for bit.  A second pass replays the workload
+// through a single-worker, cacheless service to pin concurrent ==
+// serial at the service layer too.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -147,7 +147,7 @@ std::map<std::uint64_t, std::uint64_t> replay(AuthService& svc) {
       continue;
     }
     EXPECT_EQ(response.status, RequestStatus::kOk);
-    EXPECT_GT(response.batch_size, 0u);
+    EXPECT_EQ(response.batch_size, 1u);
     digests[response.request_id] = decision_checksum(response.result);
   }
   return digests;
@@ -159,7 +159,6 @@ TEST(ServiceHarness, ConcurrentBatchedMatchesHiddenGroundTruth) {
   options.shards = 3;
   options.lru_capacity = 2;  // forces evictions across 6 names
   options.workers = 3;
-  options.max_batch = 4;
   AuthService svc(h.source, options);
   const auto digests = replay(svc);
   svc.stop();
@@ -176,26 +175,24 @@ TEST(ServiceHarness, ConcurrentBatchedMatchesHiddenGroundTruth) {
 
 TEST(ServiceHarness, SerialReplayIsBitIdenticalToConcurrent) {
   const Harness& h = harness();
-  // Single worker, batch of one, no cache: the degenerate serial
-  // service.  Its digests must equal both the concurrent run's and the
-  // hidden ground truth — pinning batched == serial at every layer.
+  // Single worker, no cache: the degenerate serial service.  Its
+  // digests must equal both the concurrent run's and the hidden ground
+  // truth — pinning concurrent == serial at every layer.
   ServiceOptions serial;
   serial.shards = 1;
   serial.lru_capacity = 0;
   serial.workers = 1;
-  serial.max_batch = 1;
   AuthService serial_svc(h.source, serial);
   const auto serial_digests = replay(serial_svc);
   serial_svc.stop();
 
-  ServiceOptions batched;
-  batched.workers = 2;
-  batched.max_batch = 8;
-  AuthService batched_svc(h.source, batched);
-  const auto batched_digests = replay(batched_svc);
-  batched_svc.stop();
+  ServiceOptions concurrent;
+  concurrent.workers = 2;
+  AuthService concurrent_svc(h.source, concurrent);
+  const auto concurrent_digests = replay(concurrent_svc);
+  concurrent_svc.stop();
 
-  EXPECT_EQ(serial_digests, batched_digests);
+  EXPECT_EQ(serial_digests, concurrent_digests);
   ASSERT_EQ(serial_digests.size(), h.secret.size());
   for (const auto& [id, digest] : h.secret) {
     EXPECT_EQ(serial_digests.at(id), digest);
