@@ -328,8 +328,9 @@ int main(int argc, char** argv) {
     svc.stop();
     closed_stats = svc.stats();
     closed_drained =
-        closed_stats.admitted ==
-            closed_stats.completed + closed_stats.unknown_user &&
+        closed_stats.admitted == closed_stats.completed +
+                                     closed_stats.unknown_user +
+                                     closed_stats.corrupt_model &&
         svc.submit({}).get().status == service::RequestStatus::kShuttingDown;
   }
 
@@ -344,8 +345,9 @@ int main(int argc, char** argv) {
     open = run_open_loop(svc, work, rate_hz, seed + 1);
     svc.stop();
     open_stats = svc.stats();
-    open_drained = open_stats.admitted ==
-                   open_stats.completed + open_stats.unknown_user;
+    open_drained = open_stats.admitted == open_stats.completed +
+                                              open_stats.unknown_user +
+                                              open_stats.corrupt_model;
   }
 
   // ---- overload probe: tiny queue, slow consumption, fast burst ------

@@ -59,6 +59,25 @@ Matrix Cholesky::solve(const Matrix& b) const {
   return x;
 }
 
+Vector Cholesky::inverse_diagonal() const {
+  const std::size_t n = l_.rows();
+  Vector out(n);
+  Vector z(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    // Column j of L^{-1}: solve L z = e_j, where z_i = 0 for i < j.
+    z[j] = 1.0 / l_(j, j);
+    double sum = z[j] * z[j];
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double s = 0.0;
+      for (std::size_t k = j; k < i; ++k) s -= l_(i, k) * z[k];
+      z[i] = s / l_(i, i);
+      sum += z[i] * z[i];
+    }
+    out[j] = sum;
+  }
+  return out;
+}
+
 double Cholesky::log_determinant() const noexcept {
   double s = 0.0;
   for (std::size_t i = 0; i < l_.rows(); ++i) s += std::log(l_(i, i));

@@ -18,6 +18,11 @@ class Cholesky {
   // Solves A X = B column-wise.
   Matrix solve(const Matrix& b) const;
 
+  // diag(A^{-1}) without forming the inverse: entry j is the squared norm
+  // of column j of L^{-1}, one forward substitution per column (about
+  // n^3/6 multiply-adds, a twelfth of solve(identity)).
+  Vector inverse_diagonal() const;
+
   // log(det A) = 2 * sum log(L_ii); useful for model-selection criteria.
   double log_determinant() const noexcept;
 

@@ -4,7 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "linalg/eigen.hpp"
+#include "linalg/cholesky.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/serialize.hpp"
@@ -75,6 +75,11 @@ void RidgeClassifier::fit(const Matrix& x, std::span<const double> y,
       throw std::invalid_argument("RidgeClassifier: labels must be +-1");
     }
   }
+  for (const double lambda : options.lambdas) {
+    if (lambda <= 0.0) {
+      throw std::invalid_argument("RidgeClassifier: lambda must be > 0");
+    }
+  }
 
   // Intercept handling: augment the features with a constant column so
   // the leave-one-out identity below stays exact (centering on the full
@@ -89,37 +94,13 @@ void RidgeClassifier::fit(const Matrix& x, std::span<const double> y,
       for (std::size_t j = 0; j < n; ++j) k(i, j) += 1.0;
     }
   }
-  const EigenDecomposition eig = eigen_symmetric(k);
-  const Vector yv(y.begin(), y.end());
-  // q_ty = Q^T y
-  const Vector q_ty = eig.vectors.multiply_transposed(yv);
-
-  for (const double lambda : options.lambdas) {
-    if (lambda <= 0.0) {
-      throw std::invalid_argument("RidgeClassifier: lambda must be > 0");
-    }
-  }
-
-  // Clamped eigenvalues and the element-wise square Q^2 are shared by
-  // every grid point: diag_i(lambda) = sum_k Q2_ik / (mu_k + lambda), so
-  // computing Q2 once removes the per-lambda O(n^2) squaring pass.
-  Vector mu(n);
-  for (std::size_t kk = 0; kk < n; ++kk) {
-    mu[kk] = std::max(eig.values[kk], 0.0);
-  }
-  Matrix q2(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t kk = 0; kk < n; ++kk) {
-      const double q = eig.vectors(i, kk);
-      q2(i, kk) = q * q;
-    }
-  }
 
   // One independent leave-one-out cross-validation pass per grid point,
-  // fanned out on the shared pool (inline when fit already runs inside a
-  // pool task).  Each pass writes only its own slot; the winner is picked
-  // serially below in grid order, so the chosen lambda, LOO error and
-  // weights are bit-identical to serial execution.
+  // each factoring K + lambda I once, fanned out on the shared pool
+  // (inline when fit already runs inside a pool task).  Each pass writes
+  // only its own slot; the winner is picked serially below in grid
+  // order, so the chosen lambda, LOO error and weights are bit-identical
+  // to serial execution and to a single-lambda fit at that point.
   struct GridPoint {
     bool degenerate = true;
     double err = std::numeric_limits<double>::infinity();
@@ -129,27 +110,26 @@ void RidgeClassifier::fit(const Matrix& x, std::span<const double> y,
   std::vector<GridPoint> grid(options.lambdas.size());
   try {
     util::parallel_for(options.lambdas.size(), /*chunk=*/1, [&](std::size_t g) {
-      const double lambda = options.lambdas[g];
       obs::add_counter("ridge.lambda_iterations");
       const obs::ScopedLatency iteration("ridge.lambda_iteration_us");
-      // alpha = Q diag(1/(mu + lambda)) Q^T yc
-      Vector scaled(n);
-      for (std::size_t kk = 0; kk < n; ++kk) {
-        scaled[kk] = q_ty[kk] / (mu[kk] + lambda);
+      Matrix shifted = k;
+      shifted.add_scaled_identity(options.lambdas[g]);
+      // alpha = (K + lambda I)^{-1} y.  LOO residuals: e_i = alpha_i /
+      // diag_i where yhat = K alpha, residual y - yhat = lambda * alpha,
+      // and diag_i = [ (K + lambda I)^{-1} ]_ii.
+      Vector alpha, diag;
+      try {
+        const Cholesky chol(shifted);
+        alpha = chol.solve(y);
+        diag = chol.inverse_diagonal();
+      } catch (const std::domain_error&) {
+        return;  // K + lambda I not numerically SPD: a degenerate point
       }
-      Vector alpha = eig.vectors.multiply(scaled);
-      // LOO residuals: e_i = alpha_i / diag_i where yhat = K alpha,
-      // residual y - yhat = lambda * alpha, and
-      // diag_i = [ (K + lambda I)^{-1} ]_ii = sum_k Q_ik^2 / (mu_k + lambda).
       double err = 0.0;
       Vector loo(n, 0.0);
       for (std::size_t i = 0; i < n; ++i) {
-        double diag = 0.0;
-        for (std::size_t kk = 0; kk < n; ++kk) {
-          diag += q2(i, kk) / (mu[kk] + lambda);
-        }
-        if (diag <= 1e-300) return;  // leave this grid point degenerate
-        const double loo_residual = alpha[i] / diag;
+        if (diag[i] <= 1e-300) return;  // leave this grid point degenerate
+        const double loo_residual = alpha[i] / diag[i];
         err += loo_residual * loo_residual;
         // The LOO prediction of y_i (uncentered): y_i minus its residual.
         loo[i] = y[i] - loo_residual;

@@ -8,9 +8,12 @@
 // Because the MiniRocket feature count (~10k) far exceeds the number of
 // enrollment samples (tens to hundreds), fitting is done in the dual: with
 // centered features Xc (n x p), alpha = (Xc Xc^T + lambda I)^{-1} yc and
-// w = Xc^T alpha.  One eigendecomposition of the n x n Gram matrix serves
-// the entire lambda grid, and the LOO residual for sample i is
-// (y_i - yhat_i) / (1 - H_ii) with H = K (K + lambda I)^{-1}.
+// w = Xc^T alpha.  Each lambda grid point factors K + lambda I once
+// (Cholesky, the grid points in parallel on the shared pool); alpha comes
+// from its two triangular solves, and the LOO residual for sample i,
+// (y_i - yhat_i) / (1 - H_ii) with H = K (K + lambda I)^{-1}, equals
+// alpha_i / [(K + lambda I)^{-1}]_ii.  A grid point whose factorization
+// fails (lambda lost to rounding against a singular K) is skipped.
 #pragma once
 
 #include <iosfwd>

@@ -11,6 +11,7 @@
 #include "obs/obs.hpp"
 #include "service/lru.hpp"
 #include "service/queue.hpp"
+#include "util/serialize.hpp"
 #include "util/thread_pool.hpp"
 
 namespace p2auth::service {
@@ -21,6 +22,7 @@ const char* to_string(RequestStatus status) noexcept {
     case RequestStatus::kUnknownUser: return "unknown_user";
     case RequestStatus::kOverloaded: return "overloaded";
     case RequestStatus::kShuttingDown: return "shutting_down";
+    case RequestStatus::kCorruptModel: return "corrupt_model";
   }
   return "unknown";
 }
@@ -50,8 +52,8 @@ struct AuthService::Impl {
 
   // Stats (relaxed atomics: monotonic counters, no ordering needed).
   std::atomic<std::uint64_t> submitted{0}, admitted{0}, overloaded{0},
-      shutdown_rejects{0}, completed{0}, unknown_user{0}, accepted{0},
-      lru_hits{0}, lru_misses{0};
+      shutdown_rejects{0}, completed{0}, unknown_user{0}, corrupt_model{0},
+      accepted{0}, lru_hits{0}, lru_misses{0};
 
   Impl(std::shared_ptr<ModelSource> src, const ServiceOptions& opts)
       : source(std::move(src)), options(opts),
@@ -118,8 +120,19 @@ void AuthService::Impl::decide(Pending& pending) {
   response.queue_us = static_cast<double>(start_us - pending.enqueue_us);
   obs::observe_latency_us("service.queue_us", response.queue_us);
 
-  const std::shared_ptr<const core::EnrolledUser> user =
-      resolve(pending.request.user);
+  std::shared_ptr<const core::EnrolledUser> user;
+  try {
+    user = resolve(pending.request.user);
+  } catch (const util::SerializeError&) {
+    // The record exists but fails its CRC or validation: refuse it typed,
+    // cache nothing, and keep this worker serving.
+    corrupt_model.fetch_add(1, std::memory_order_relaxed);
+    obs::add_counter("service.corrupt_model");
+    response.status = RequestStatus::kCorruptModel;
+    response.service_us = static_cast<double>(obs::now_us() - start_us);
+    pending.promise.set_value(std::move(response));
+    return;
+  }
   if (user == nullptr) {
     unknown_user.fetch_add(1, std::memory_order_relaxed);
     obs::add_counter("service.unknown_user");
@@ -231,6 +244,7 @@ ServiceStats AuthService::stats() const {
       impl_->shutdown_rejects.load(std::memory_order_relaxed);
   out.completed = impl_->completed.load(std::memory_order_relaxed);
   out.unknown_user = impl_->unknown_user.load(std::memory_order_relaxed);
+  out.corrupt_model = impl_->corrupt_model.load(std::memory_order_relaxed);
   out.accepted = impl_->accepted.load(std::memory_order_relaxed);
   out.lru_hits = impl_->lru_hits.load(std::memory_order_relaxed);
   out.lru_misses = impl_->lru_misses.load(std::memory_order_relaxed);

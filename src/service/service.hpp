@@ -7,7 +7,8 @@
 //                (full ⇒ typed kOverloaded)      │ one request
 //                                                ▼ per wake
 //        shard[h(name) % N]: mutex + LRU of materialized models
-//                │ miss ⇒ ModelSource::load (mmap materialize)
+//                │ miss ⇒ ModelSource::load (mmap materialize; a corrupt
+//                │ record ⇒ typed kCorruptModel, nothing cached)
 //                ▼
 //        core::authenticate on the resolved model — the same call every
 //        other front end makes, so a service decision equals a serial
@@ -42,6 +43,7 @@ enum class RequestStatus : std::uint8_t {
   kUnknownUser,    // name not present in any model store
   kOverloaded,     // admission queue full — shed, not queued
   kShuttingDown,   // submitted after stop()
+  kCorruptModel,   // the user's store record fails its CRC or validation
 };
 
 const char* to_string(RequestStatus status) noexcept;
@@ -88,6 +90,7 @@ struct ServiceStats {
   std::uint64_t shutdown_rejects = 0;  // submitted after stop()
   std::uint64_t completed = 0;    // decisions delivered (status kOk)
   std::uint64_t unknown_user = 0;
+  std::uint64_t corrupt_model = 0;  // store record failed to load
   std::uint64_t accepted = 0;     // of completed
   std::uint64_t lru_hits = 0;
   std::uint64_t lru_misses = 0;   // materializations

@@ -74,6 +74,22 @@ TEST(Cholesky, SolveSizeMismatchThrows) {
   EXPECT_THROW(chol.solve(Vector{1.0, 2.0}), std::invalid_argument);
 }
 
+// The ridge LOO residuals divide by diag((K + lambda I)^{-1}); the
+// column-norm shortcut must agree with the explicit inverse.
+TEST(Cholesky, InverseDiagonalMatchesExplicitInverse) {
+  for (const std::size_t n : {1u, 2u, 7u, 40u, 109u}) {
+    util::Rng rng(200 + n);
+    const Cholesky chol(random_spd(n, rng));
+    const Matrix inv = chol.solve(Matrix::identity(n));
+    const Vector diag = chol.inverse_diagonal();
+    ASSERT_EQ(diag.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(diag[i], inv(i, i), 1e-12 * std::abs(inv(i, i)))
+          << "n=" << n << " i=" << i;
+    }
+  }
+}
+
 TEST(SolveGeneral, KnownSystemWithPivoting) {
   // First pivot is zero: requires row exchange.
   Matrix a = Matrix::from_rows({{0.0, 1.0}, {2.0, 0.0}});

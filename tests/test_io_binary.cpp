@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -66,6 +67,39 @@ TEST(Crc32, IeeeKnownVectors) {
   EXPECT_EQ(crc_of("a"), 0xE8B7BE43u);
   EXPECT_EQ(crc_of("The quick brown fox jumps over the lazy dog"),
             0x414FA339u);
+}
+
+// crc32 consumes eight bytes per step and the rest one at a time; every
+// length and alignment must give what the plain byte-at-a-time table
+// loop gives.
+TEST(Crc32, SliceBy8MatchesBytewiseOracle) {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+    }
+    table[i] = c;
+  }
+  const auto bytewise = [&](std::span<const std::uint8_t> bytes) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (const std::uint8_t b : bytes) {
+      c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  util::Rng rng(0xC3C32);
+  std::vector<std::uint8_t> buffer(8 + 300);
+  for (std::uint8_t& b : buffer) {
+    b = static_cast<std::uint8_t>(rng.next_u32());
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::span<const std::uint8_t> bytes(buffer.data() + offset, len);
+      ASSERT_EQ(util::crc32(bytes), bytewise(bytes))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 TEST(IoBinary, UserRoundTripIsLossless) {

@@ -87,33 +87,36 @@ TEST(Ridge, LooDecisionsMatchExplicitRefits) {
       x(i, j) = rng.normal() + (y[i] > 0 && j % 5 == 0 ? 0.8 : 0.0);
     }
   }
-  RidgeOptions opt;
-  opt.lambdas = {3.7};
-  RidgeClassifier full;
-  full.fit(x, y, opt);
-  ASSERT_EQ(full.loo_decisions().size(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Matrix xi(n - 1, p);
-    std::vector<double> yi;
-    std::size_t r = 0;
-    for (std::size_t k = 0; k < n; ++k) {
-      if (k == i) continue;
-      for (std::size_t j = 0; j < p; ++j) xi(r, j) = x(k, j);
-      yi.push_back(y[k]);
-      ++r;
+  // 1e-3 is the default grid's smallest and worst-conditioned point (the
+  // one full enrollment models pick); 1e3 its largest.
+  for (const double lambda : {1e-3, 3.7, 1e3}) {
+    RidgeOptions opt;
+    opt.lambdas = {lambda};
+    RidgeClassifier full;
+    full.fit(x, y, opt);
+    ASSERT_EQ(full.loo_decisions().size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      Matrix xi(n - 1, p);
+      std::vector<double> yi;
+      std::size_t r = 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        if (k == i) continue;
+        for (std::size_t j = 0; j < p; ++j) xi(r, j) = x(k, j);
+        yi.push_back(y[k]);
+        ++r;
+      }
+      RidgeClassifier held_out;
+      held_out.fit(xi, yi, opt);
+      EXPECT_NEAR(full.loo_decisions()[i], held_out.decision(x.row(i)), 1e-8)
+          << "lambda " << lambda << " sample " << i;
     }
-    RidgeClassifier held_out;
-    held_out.fit(xi, yi, opt);
-    EXPECT_NEAR(full.loo_decisions()[i], held_out.decision(x.row(i)), 1e-8)
-        << "sample " << i;
   }
 }
 
 TEST(Ridge, GridSelectionMatchesPerLambdaFits) {
-  // Guards the shared-Q^2 / parallel lambda-grid optimisation: the
-  // chosen lambda, its LOO error and the resulting weights from one
-  // multi-lambda fit must be bit-identical to an explicit argmin over
-  // single-lambda fits.
+  // Guards the parallel per-lambda Cholesky grid: the chosen lambda, its
+  // LOO error and the resulting weights from one multi-lambda fit must be
+  // bit-identical to an explicit argmin over single-lambda fits.
   util::Rng rng(41);
   Matrix x;
   std::vector<double> y;
@@ -142,6 +145,29 @@ TEST(Ridge, GridSelectionMatchesPerLambdaFits) {
   EXPECT_EQ(multi.loo_error(), best_err);
   EXPECT_EQ(multi.weights(), best_weights);
   EXPECT_EQ(multi.bias(), best_bias);
+}
+
+TEST(Ridge, NumericallySingularGridPointIsSkipped) {
+  // Two identical rows make K singular; at 1e16 Gram scale lambda = 1e-3
+  // is below K's rounding, so K + lambda I has a zero pivot and that grid
+  // point must be skipped rather than chosen from a singular system.
+  // lambda = 1e3 survives the rounding and still factors.
+  const Matrix x = Matrix::from_rows({{1e8, 0.0}, {1e8, 0.0}, {0.0, 1e8}});
+  const std::vector<double> y = {1.0, 1.0, -1.0};
+  RidgeOptions opt;
+  opt.fit_intercept = false;
+  opt.lambdas = {1e-3, 1e3};
+  RidgeClassifier clf;
+  clf.fit(x, y, opt);
+  EXPECT_EQ(clf.chosen_lambda(), 1e3);
+  EXPECT_TRUE(std::isfinite(clf.loo_error()));
+  for (const double w : clf.weights()) EXPECT_TRUE(std::isfinite(w));
+  EXPECT_GT(clf.decision(x.row(0)), 0.0);
+  EXPECT_LT(clf.decision(x.row(2)), 0.0);
+
+  opt.lambdas = {1e-3};
+  RidgeClassifier singular;
+  EXPECT_THROW(singular.fit(x, y, opt), std::domain_error);
 }
 
 TEST(Ridge, SaveLoadRoundTripPreservesDecisions) {

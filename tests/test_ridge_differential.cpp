@@ -164,10 +164,11 @@ TEST(RidgeDifferential, GramRowsOnPoolMatchesPerPairDotAcrossBackends) {
   }
 }
 
-// End-to-end: the full RidgeClassifier fit (Gram build, eigen-dual
-// solve, LOO sweep across the whole lambda grid, weight recovery) is
-// bit-identical under every backend — weights, bias, chosen lambda and
-// the LOO decision values all match the scalar-backend fit exactly.
+// End-to-end: the full RidgeClassifier fit (Gram build, one Cholesky
+// solve per grid point, LOO sweep across the whole lambda grid, weight
+// recovery) is bit-identical under every backend — weights, bias, chosen
+// lambda and the LOO decision values all match the scalar-backend fit
+// exactly.
 TEST(RidgeDifferential, ClassifierFitBitIdenticalAcrossLambdaGrid) {
   constexpr std::size_t kSamples = 24, kFeatures = 300;
   util::Rng rng(0x51d9eULL, 0x99ULL);

@@ -19,8 +19,12 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "bench_common.hpp"
 #include "core/enrollment.hpp"
+#include "core/registry.hpp"
+#include "io/binary.hpp"
 #include "io/format.hpp"
 #include "service/checksum.hpp"
 #include "service/lru.hpp"
@@ -484,6 +488,54 @@ TEST(Service, MalformedObservationIsDecidedNotFatal) {
   EXPECT_EQ(decision_checksum(r.result), expected);
   svc.stop();
   EXPECT_EQ(svc.stats().completed, 4u);
+}
+
+// A store record that fails its CRC must not escape the worker (an
+// uncaught throw there ends the process).  The service answers it with
+// a typed kCorruptModel, caches nothing, and keeps deciding.
+TEST(Service, CorruptStoreRecordIsTypedNotFatal) {
+  const Enrolled& f = fixture();
+  core::UserRegistry registry;
+  registry.add("alice", f.user);
+  registry.add("bob", f.user);
+  std::stringstream ss;
+  io::save_user_registry_binary(registry, ss);
+  std::string bytes = ss.str();
+  // Records follow the file header in name order: this byte is alice's.
+  bytes[io::kFileHeaderBytes + 1000] ^= 0x20;
+  struct RemovedAtExit {
+    std::string path;
+    ~RemovedAtExit() { std::remove(path.c_str()); }
+  } const store{"test_service.corrupt." + std::to_string(::getpid()) +
+                ".p2mdl"};
+  std::ofstream(store.path, std::ios::binary) << bytes;
+  auto source = std::make_shared<MappedRegistrySource>(
+      std::vector<std::string>{store.path});
+  ServiceOptions options;
+  options.workers = 1;
+  AuthService svc(source, options);
+
+  for (std::uint64_t id = 0; id < 2; ++id) {  // the second is not cached
+    const AuthResponse r = svc.submit(named_request(id, "alice")).get();
+    EXPECT_EQ(r.status, RequestStatus::kCorruptModel);
+    EXPECT_STREQ(to_string(r.status), "corrupt_model");
+  }
+
+  const core::Observation obs = f.fresh_observation(94);
+  const std::uint64_t expected =
+      decision_checksum(core::authenticate(*source->load("bob"), obs));
+  AuthRequest good = named_request(2, "bob");
+  good.observation = obs;
+  const AuthResponse r = svc.submit(std::move(good)).get();
+  ASSERT_EQ(r.status, RequestStatus::kOk);
+  EXPECT_EQ(decision_checksum(r.result), expected);
+
+  svc.stop();
+  const ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.corrupt_model, 2u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.lru_misses, 1u);  // bob only
+  EXPECT_EQ(stats.admitted, stats.completed + stats.corrupt_model);
 }
 
 // ---------------------------------------------------------------------
