@@ -6,7 +6,9 @@
 // transform throughput (reference serial loop vs fast single-series vs
 // tiled batch engine), writing BENCH_primitives.json for the CI perf
 // gate (tools/check_bench_regression.py compares the speedup ratios
-// against bench/baselines/primitives_baseline.json).
+// against bench/baselines/primitives_baseline.json).  It also records
+// the enrollment primitives (MiniRocket fit, Gram build) at the full
+// model's shape as informational keys.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -120,6 +122,58 @@ void BM_RidgeFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RidgeFit);
+
+// The full-waveform model's enrollment shape: 109 samples (9 entries
+// plus the 100-entry third-party pool) of 4 channels x 600, and the
+// default budget, which realises 11760 features.
+constexpr std::size_t kEnrollSamples = 109;
+constexpr std::size_t kEnrollChannels = 4;
+constexpr std::size_t kEnrollLength = 600;
+constexpr std::size_t kEnrollFeatures = 11760;
+
+std::vector<std::vector<ml::Series>> enroll_training_set() {
+  util::Rng rng(11);
+  std::vector<std::vector<ml::Series>> train(
+      kEnrollSamples, std::vector<ml::Series>(kEnrollChannels,
+                                              ml::Series(kEnrollLength)));
+  for (auto& sample : train) {
+    for (auto& channel : sample) {
+      for (double& v : channel) v = rng.normal();
+    }
+  }
+  return train;
+}
+
+linalg::Matrix enroll_feature_matrix() {
+  util::Rng rng(12);
+  linalg::Matrix x(kEnrollSamples, kEnrollFeatures);
+  // PPV features are proportions in [0, 1].
+  for (double& v : x.data()) v = rng.uniform();
+  return x;
+}
+
+// Bias fitting: one selection per (channel, kernel, dilation) combo on
+// the shared pool.
+void BM_MiniRocketFit(benchmark::State& state) {
+  const auto train = enroll_training_set();
+  for (auto _ : state) {
+    ml::MultiChannelMiniRocket rocket;
+    util::Rng rng(13);
+    rocket.fit(train, rng);
+    benchmark::DoNotOptimize(rocket.channel(0).biases().data());
+  }
+}
+BENCHMARK(BM_MiniRocketFit)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The ridge dual's Gram matrix, blocked on the shared pool.
+void BM_GramRows(benchmark::State& state) {
+  const linalg::Matrix x = enroll_feature_matrix();
+  for (auto _ : state) {
+    const linalg::Matrix k = x.gram_rows();
+    benchmark::DoNotOptimize(k.data().data());
+  }
+}
+BENCHMARK(BM_GramRows)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // MiniRocket transform-throughput measurement for the CI perf gate.
 //
@@ -279,6 +333,33 @@ int run_quick_transform_throughput(std::optional<backend::Isa> requested) {
   // key: the report names the requested (or environment-resolved)
   // backend, not whichever ISA happened to be timed last.
   backend::force_isa(requested);
+
+  // Enrollment primitives at the full-waveform model's shape, on the
+  // shared pool with the active backend (informational: "enroll_" is a
+  // reported prefix, not a gated ratio).
+  const auto enroll_train = enroll_training_set();
+  const linalg::Matrix enroll_x = enroll_feature_matrix();
+  double fit_s = 1e300, gram_s = 1e300;
+  for (int r = 0; r < kRepeats; ++r) {
+    fit_s = std::min(fit_s, bench::timed_s([&] {
+      ml::MultiChannelMiniRocket fitted;
+      util::Rng fit_rng(13);
+      fitted.fit(enroll_train, fit_rng);
+      benchmark::DoNotOptimize(fitted.channel(0).biases().data());
+    }));
+    gram_s = std::min(gram_s, bench::timed_s([&] {
+      const linalg::Matrix k = enroll_x.gram_rows();
+      benchmark::DoNotOptimize(k.data().data());
+    }));
+  }
+  report.value("enroll_fit_us", fit_s * 1e6);
+  report.value("enroll_gram_us", gram_s * 1e6);
+  std::printf(
+      "enrollment primitives (%zu samples, %zu x %zu fit, %zu features):\n"
+      "  multi-channel fit     : %8.1f us\n"
+      "  gram_rows             : %8.1f us\n",
+      kEnrollSamples, kEnrollChannels, kEnrollLength, kEnrollFeatures,
+      fit_s * 1e6, gram_s * 1e6);
   report.write();
   return 0;
 }

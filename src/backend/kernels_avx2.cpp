@@ -163,6 +163,37 @@ double dot_avx2(const double* a, const double* b, std::size_t n) {
   return s;
 }
 
+// 2x4 register tile: each ymm holds one entry's four stripes, so eight
+// accumulators, four b rows and one a row fit the sixteen registers.
+constexpr std::size_t kGramRows = 2, kGramCols = 4;
+
+void gram_micro_avx2(const double* const* a, const double* const* b,
+                     std::size_t k0, std::size_t k1, double* acc) {
+  __m256d s[kGramRows][kGramCols];
+  for (std::size_t r = 0; r < kGramRows; ++r) {
+    for (std::size_t c = 0; c < kGramCols; ++c) {
+      s[r][c] = _mm256_loadu_pd(acc + (r * kGramCols + c) * 4);
+    }
+  }
+  for (std::size_t k = k0; k < k1; k += 4) {
+    __m256d bv[kGramCols];
+    for (std::size_t c = 0; c < kGramCols; ++c) {
+      bv[c] = _mm256_loadu_pd(b[c] + k);
+    }
+    for (std::size_t r = 0; r < kGramRows; ++r) {
+      const __m256d av = _mm256_loadu_pd(a[r] + k);
+      for (std::size_t c = 0; c < kGramCols; ++c) {
+        s[r][c] = _mm256_add_pd(s[r][c], _mm256_mul_pd(av, bv[c]));
+      }
+    }
+  }
+  for (std::size_t r = 0; r < kGramRows; ++r) {
+    for (std::size_t c = 0; c < kGramCols; ++c) {
+      _mm256_storeu_pd(acc + (r * kGramCols + c) * 4, s[r][c]);
+    }
+  }
+}
+
 void axpy_avx2(double alpha, const double* x, double* y, std::size_t n) {
   const __m256d av = _mm256_set1_pd(alpha);
   std::size_t i = 0;
@@ -178,8 +209,13 @@ void axpy_avx2(double alpha, const double* x, double* y, std::size_t n) {
 
 const KernelTable& avx2_kernel_table() noexcept {
   static constexpr KernelTable kTable{
-      Isa::kAvx2,      "avx2",     &nine_tap_sum_avx2,
-      &ppv_count_avx2, &dot_avx2,  &axpy_avx2,
+      Isa::kAvx2,
+      "avx2",
+      &nine_tap_sum_avx2,
+      &ppv_count_avx2,
+      &dot_avx2,
+      &axpy_avx2,
+      &detail::gram_block<kGramRows, kGramCols, &gram_micro_avx2>,
   };
   return kTable;
 }

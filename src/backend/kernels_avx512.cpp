@@ -193,6 +193,47 @@ double dot_avx512(const double* a, const double* b, std::size_t n) {
   return s;
 }
 
+// 4x4 register tile.  A zmm holds the four stripes of two entries,
+// (r, c) and (r, c + 1), never eight consecutive elements of one entry:
+// that would split each entry's stripes over two accumulation chains.
+// Row r's 4-block is broadcast to both halves; the b pair is assembled
+// from two 256-bit loads.  Both use masked broadcasts: GCC 12's
+// unmasked broadcast and insert intrinsics start from an undefined
+// register and warn under -Wall.
+constexpr std::size_t kGramRows = 4, kGramCols = 4;
+
+void gram_micro_avx512(const double* const* a, const double* const* b,
+                       std::size_t k0, std::size_t k1, double* acc) {
+  constexpr std::size_t kPairs = kGramCols / 2;
+  __m512d s[kGramRows][kPairs];
+  for (std::size_t r = 0; r < kGramRows; ++r) {
+    for (std::size_t p = 0; p < kPairs; ++p) {
+      s[r][p] = _mm512_loadu_pd(acc + (r * kGramCols + 2 * p) * 4);
+    }
+  }
+  for (std::size_t k = k0; k < k1; k += 4) {
+    __m512d bv[kPairs];
+    for (std::size_t p = 0; p < kPairs; ++p) {
+      bv[p] = _mm512_mask_broadcast_f64x4(
+          _mm512_castpd256_pd512(_mm256_loadu_pd(b[2 * p] + k)), 0xF0,
+          _mm256_loadu_pd(b[2 * p + 1] + k));
+    }
+    for (std::size_t r = 0; r < kGramRows; ++r) {
+      const __m256d ar = _mm256_loadu_pd(a[r] + k);
+      const __m512d av =
+          _mm512_mask_broadcast_f64x4(_mm512_castpd256_pd512(ar), 0xFF, ar);
+      for (std::size_t p = 0; p < kPairs; ++p) {
+        s[r][p] = _mm512_add_pd(s[r][p], _mm512_mul_pd(av, bv[p]));
+      }
+    }
+  }
+  for (std::size_t r = 0; r < kGramRows; ++r) {
+    for (std::size_t p = 0; p < kPairs; ++p) {
+      _mm512_storeu_pd(acc + (r * kGramCols + 2 * p) * 4, s[r][p]);
+    }
+  }
+}
+
 void axpy_avx512(double alpha, const double* x, double* y, std::size_t n) {
   // Per-element update: width does not affect bits, so use full 512-bit
   // vectors with a masked tail.
@@ -210,8 +251,13 @@ void axpy_avx512(double alpha, const double* x, double* y, std::size_t n) {
 
 const KernelTable& avx512_kernel_table() noexcept {
   static constexpr KernelTable kTable{
-      Isa::kAvx512,      "avx512",     &nine_tap_sum_avx512,
-      &ppv_count_avx512, &dot_avx512,  &axpy_avx512,
+      Isa::kAvx512,
+      "avx512",
+      &nine_tap_sum_avx512,
+      &ppv_count_avx512,
+      &dot_avx512,
+      &axpy_avx512,
+      &detail::gram_block<kGramRows, kGramCols, &gram_micro_avx512>,
   };
   return kTable;
 }

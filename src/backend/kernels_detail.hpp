@@ -84,4 +84,69 @@ inline void scalar_axpy(double alpha, const double* x, double* y,
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
+// ---------------------------------------------------------------------
+// Gram blocks in striped_dot's order, entry by entry.  A backend
+// supplies a register-tile micro-kernel over kR rows `a` and kC rows
+// `b`: for every 4-block starting at k in [k0, k1) and stripe l,
+//   acc[(r * kC + c) * 4 + l] += a[r][k + l] * b[c][k + l]
+// (multiply then add, never fused).  gram_block walks the feature range
+// in slices of kGramDepth doubles, so a tile's rows stay in L1 and the
+// block's rows in L2 while every register tile of the block passes over
+// them; each entry's four stripes persist in memory between slices.  It
+// then combines each entry's stripes as (acc0 + acc1) + (acc2 + acc3)
+// and adds the tail in sequence, as striped_dot does.
+// ---------------------------------------------------------------------
+
+inline constexpr std::size_t kGramDepth = 512;
+
+using GramMicroFn = void (*)(const double* const* a, const double* const* b,
+                             std::size_t k0, std::size_t k1, double* acc);
+
+template <std::size_t kR, std::size_t kC, GramMicroFn kMicro>
+void gram_block(const double* x, std::size_t ld, std::size_t n,
+                std::size_t i0, std::size_t ni, std::size_t j0,
+                std::size_t nj, double* out) noexcept {
+  static_assert(kGramBlock % kR == 0 && kGramBlock % kC == 0);
+  constexpr std::size_t kTile = kR * kC * 4;
+  const std::size_t tiles_r = (ni + kR - 1) / kR;
+  const std::size_t tiles_c = (nj + kC - 1) / kC;
+  // Register tile (tr, tc) keeps its stripes at (tr * tiles_c + tc) * kTile.
+  alignas(64) double stripes[kGramBlock * kGramBlock * 4];
+  std::fill(stripes, stripes + tiles_r * tiles_c * kTile, 0.0);
+  // Tile rows past the block's edge repeat its last row; their entries
+  // are computed and dropped.
+  const double* a[kR];
+  const double* b[kC];
+  const std::size_t full = n & ~std::size_t{3};
+  for (std::size_t k0 = 0; k0 < full; k0 += kGramDepth) {
+    const std::size_t k1 = std::min(full, k0 + kGramDepth);
+    for (std::size_t tr = 0; tr < tiles_r; ++tr) {
+      for (std::size_t r = 0; r < kR; ++r) {
+        a[r] = x + (i0 + std::min(tr * kR + r, ni - 1)) * ld;
+      }
+      for (std::size_t tc = 0; tc < tiles_c; ++tc) {
+        // A tile wholly below the diagonal holds no wanted entry.
+        if (i0 + tr * kR > j0 + tc * kC + kC - 1) continue;
+        for (std::size_t c = 0; c < kC; ++c) {
+          b[c] = x + (j0 + std::min(tc * kC + c, nj - 1)) * ld;
+        }
+        kMicro(a, b, k0, k1, stripes + (tr * tiles_c + tc) * kTile);
+      }
+    }
+  }
+  for (std::size_t r = 0; r < ni; ++r) {
+    const double* const ar = x + (i0 + r) * ld;
+    for (std::size_t c = 0; c < nj; ++c) {
+      if (i0 + r > j0 + c) continue;
+      const double* const acc =
+          stripes + ((r / kR) * tiles_c + c / kC) * kTile +
+          ((r % kR) * kC + c % kC) * 4;
+      const double* const bc = x + (j0 + c) * ld;
+      double s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+      for (std::size_t k = full; k < n; ++k) s += ar[k] * bc[k];
+      out[r * nj + c] = s;
+    }
+  }
+}
+
 }  // namespace p2auth::backend::detail

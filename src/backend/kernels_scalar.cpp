@@ -2,10 +2,11 @@
 // bit-identity reference every SIMD table is differentially tested
 // against.  The nine-tap sum keeps the shift-partitioned shape (guarded
 // edges, branch-free interior); PPV counting writes the padded
-// convolution and runs a cmov binary search per element.  This TU is
-// built -O3 like the old minirocket.cpp so the branch-free loops
-// auto-vectorize.  It also holds kernel_conv, the exact convolution that
-// fit and max pooling call directly.
+// convolution and runs a cmov binary search per element; Gram blocks
+// run a 2x2 register tile.  This TU is built -O3 like the old
+// minirocket.cpp so the branch-free loops auto-vectorize.  It also holds
+// kernel_conv, the exact convolution that fit and max pooling call
+// directly.
 #include <algorithm>
 #include <array>
 #include <utility>
@@ -71,6 +72,27 @@ void axpy_scalar(double alpha, const double* x, double* y, std::size_t n) {
   detail::scalar_axpy(alpha, x, y, n);
 }
 
+// 2x2 register tile: sixteen independent stripe accumulators, so the
+// compiler may vectorize across them without reordering any one
+// entry's sum.
+constexpr std::size_t kGramRows = 2, kGramCols = 2;
+
+void gram_micro_scalar(const double* const* a, const double* const* b,
+                       std::size_t k0, std::size_t k1, double* acc) {
+  constexpr std::size_t kStripes = kGramRows * kGramCols * 4;
+  double s[kStripes];
+  std::copy(acc, acc + kStripes, s);
+  for (std::size_t k = k0; k < k1; k += 4) {
+    for (std::size_t r = 0; r < kGramRows; ++r) {
+      for (std::size_t c = 0; c < kGramCols; ++c) {
+        double* const e = s + (r * kGramCols + c) * 4;
+        for (std::size_t l = 0; l < 4; ++l) e[l] += a[r][k + l] * b[c][k + l];
+      }
+    }
+  }
+  std::copy(s, s + kStripes, acc);
+}
+
 }  // namespace
 
 void scalar_ppv_count(const PpvCombo& c, std::size_t* hist, double* conv,
@@ -134,8 +156,13 @@ void kernel_conv(const double* x, long long n, const double* sum9, int k0,
 
 const KernelTable& scalar_kernel_table() noexcept {
   static constexpr KernelTable kTable{
-      Isa::kScalar,      "scalar",     &nine_tap_sum_scalar,
-      &scalar_ppv_count, &dot_scalar,  &axpy_scalar,
+      Isa::kScalar,
+      "scalar",
+      &nine_tap_sum_scalar,
+      &scalar_ppv_count,
+      &dot_scalar,
+      &axpy_scalar,
+      &detail::gram_block<kGramRows, kGramCols, &gram_micro_scalar>,
   };
   return kTable;
 }

@@ -29,7 +29,10 @@
 //     bias quantiles are convolution values) and max pooling (which
 //     emits one as a feature).  It is scalar only, outside the tables.
 //   * dot follows a fixed width-4 stripe accumulation order that every
-//     backend — scalar included — implements identically.
+//     backend — scalar included — implements identically.  gram_block
+//     shares that order: each Gram entry keeps its own four stripe
+//     accumulators across the whole feature range, so every entry has
+//     dot's bits, however the block is tiled in registers or cache.
 // No kernel contracts multiply-adds.  The differential test suites
 // enforce the contract for every table compiled into the binary.
 #pragma once
@@ -99,6 +102,19 @@ using DotFn = double (*)(const double* a, const double* b, std::size_t n);
 using AxpyFn = void (*)(double alpha, const double* x, double* y,
                         std::size_t n);
 
+// Widest side of one gram_block call.
+inline constexpr std::size_t kGramBlock = 16;
+
+// One block of the Gram matrix of the row-major matrix `x` (row r at
+// x + r * ld, n columns): for r < ni and c < nj with i0 + r <= j0 + c,
+//   out[r * nj + c] = dot(x_{i0 + r}, x_{j0 + c}, n)
+// with DotFn's bits (row i0 + r is the first operand of every
+// product).  Entries below the diagonal may be left unwritten.
+// 1 <= ni, nj <= kGramBlock.
+using GramBlockFn = void (*)(const double* x, std::size_t ld, std::size_t n,
+                             std::size_t i0, std::size_t ni, std::size_t j0,
+                             std::size_t nj, double* out);
+
 struct KernelTable {
   Isa isa = Isa::kScalar;
   const char* name = "scalar";  // == isa_name(isa)
@@ -106,6 +122,7 @@ struct KernelTable {
   PpvCountFn ppv_count = nullptr;
   DotFn dot = nullptr;
   AxpyFn axpy = nullptr;
+  GramBlockFn gram_block = nullptr;
 };
 
 // Widest supported number of binary-search steps in ppv_count (the bias

@@ -13,7 +13,8 @@ Cholesky::Cholesky(const Matrix& a) : l_(a.rows(), a.cols()) {
   for (std::size_t j = 0; j < n; ++j) {
     double diag = a(j, j);
     for (std::size_t k = 0; k < j; ++k) diag -= l_(j, k) * l_(j, k);
-    if (diag <= 0.0) {
+    // Negated so a NaN pivot (a non-finite input) is rejected too.
+    if (!(diag > 0.0)) {
       throw std::domain_error("Cholesky: matrix not positive definite");
     }
     l_(j, j) = std::sqrt(diag);

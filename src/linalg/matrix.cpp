@@ -1,7 +1,9 @@
 #include "linalg/matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "backend/policy.hpp"
 #include "util/thread_pool.hpp"
@@ -81,15 +83,32 @@ Vector Matrix::multiply_transposed(std::span<const double> v) const {
 
 Matrix Matrix::gram_rows() const {
   Matrix g(rows_, rows_);
-  // One pool task per row i of the upper triangle: it writes g(i, j) and
-  // the mirror g(j, i) for j >= i, slots no other task touches.  Every
-  // entry is one dot call, so g is bit-identical for any thread count.
+  // One pool task per kGramBlock-square block (bi, bj), bi <= bj, of the
+  // upper triangle: it writes g(i, j) and the mirror g(j, i) for its
+  // i <= j, slots no other task touches.  The block kernel gives every
+  // entry the bits of dot(row(i), row(j)), so g is bit-identical to the
+  // per-pair loop for any thread count.
+  constexpr std::size_t kBlock = backend::kGramBlock;
+  const std::size_t blocks = (rows_ + kBlock - 1) / kBlock;
+  std::vector<std::pair<std::size_t, std::size_t>> tasks;
+  for (std::size_t bi = 0; bi < blocks; ++bi) {
+    for (std::size_t bj = bi; bj < blocks; ++bj) tasks.emplace_back(bi, bj);
+  }
+  const backend::KernelTable& kt = backend::kernels();
   try {
-    util::parallel_for(rows_, /*chunk=*/1, [&](std::size_t i) {
-      for (std::size_t j = i; j < rows_; ++j) {
-        const double v = dot(row(i), row(j));
-        g(i, j) = v;
-        g(j, i) = v;
+    util::parallel_for(tasks.size(), /*chunk=*/1, [&](std::size_t t) {
+      const std::size_t i0 = tasks[t].first * kBlock;
+      const std::size_t j0 = tasks[t].second * kBlock;
+      const std::size_t ni = std::min(kBlock, rows_ - i0);
+      const std::size_t nj = std::min(kBlock, rows_ - j0);
+      double out[kBlock * kBlock];
+      kt.gram_block(data_.data(), cols_, cols_, i0, ni, j0, nj, out);
+      for (std::size_t r = 0; r < ni; ++r) {
+        for (std::size_t c = 0; c < nj; ++c) {
+          if (i0 + r > j0 + c) continue;
+          g(i0 + r, j0 + c) = out[r * nj + c];
+          g(j0 + c, i0 + r) = out[r * nj + c];
+        }
       }
     });
   } catch (const util::ParallelForError& e) {

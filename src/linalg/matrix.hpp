@@ -59,9 +59,10 @@ class Matrix {
   // this^T * v (without materialising the transpose).
   Vector multiply_transposed(std::span<const double> v) const;
 
-  // Gram matrix this * this^T (rows x rows), exploiting symmetry.  Rows
-  // of the upper triangle are built on the shared thread pool; the result
-  // is bit-identical for any thread count.
+  // Gram matrix this * this^T (rows x rows), exploiting symmetry.
+  // Blocks of the upper triangle are built on the shared thread pool by
+  // the backend's register-tiled gram_block kernel; every entry carries
+  // the bits of dot(row(i), row(j)) for any thread count and backend.
   Matrix gram_rows() const;
   // this^T * this (cols x cols), exploiting symmetry.
   Matrix gram_cols() const;

@@ -88,7 +88,15 @@ void RidgeClassifier::fit(const Matrix& x, std::span<const double> y,
   const double intercept_column = options.fit_intercept ? 1.0 : 0.0;
 
   // Dual formulation on the n x n Gram matrix of the augmented features.
+  // K_ii = sum_k x_ik^2 is non-finite exactly when row i holds a
+  // non-finite or overflowing feature, which would otherwise surface as
+  // a "trained" model with NaN weights.
   Matrix k = x.gram_rows();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(k(i, i))) {
+      throw std::invalid_argument("RidgeClassifier: non-finite feature");
+    }
+  }
   if (options.fit_intercept) {
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) k(i, j) += 1.0;
@@ -128,7 +136,8 @@ void RidgeClassifier::fit(const Matrix& x, std::span<const double> y,
       double err = 0.0;
       Vector loo(n, 0.0);
       for (std::size_t i = 0; i < n; ++i) {
-        if (diag[i] <= 1e-300) return;  // leave this grid point degenerate
+        // Negated so a NaN leaves the grid point degenerate too.
+        if (!(diag[i] > 1e-300)) return;
         const double loo_residual = alpha[i] / diag[i];
         err += loo_residual * loo_residual;
         // The LOO prediction of y_i (uncentered): y_i minus its residual.

@@ -38,7 +38,8 @@ class RidgeClassifier {
   RidgeClassifier() = default;
 
   // Fits on features X (n samples x p features) and labels in {-1, +1}.
-  // Throws std::invalid_argument on shape/label errors.
+  // Throws std::invalid_argument on shape/label errors and on a
+  // non-finite feature (or one whose square overflows).
   void fit(const Matrix& x, std::span<const double> y,
            const RidgeOptions& options = {});
 

@@ -341,19 +341,18 @@ void MiniRocket::fit(const std::vector<Series>& train, util::Rng& rng) {
   const obs::Span span("minirocket.fit", "ml");
   std::vector<const Series*> ptrs(train.size());
   for (std::size_t i = 0; i < train.size(); ++i) ptrs[i] = &train[i];
-  const std::vector<const Series*> samples = plan_fit(ptrs, rng);
+  const FitPlan plan = plan_fit(ptrs, rng);
   try {
-    util::parallel_for(samples.size(), /*chunk=*/1, [&](std::size_t di) {
-      fit_dilation(di, *samples[di]);
-    });
+    util::parallel_for(plan.samples.size(), /*chunk=*/1,
+                       [&](std::size_t di) { fit_dilation(plan, di); });
   } catch (const util::ParallelForError& e) {
     e.rethrow_cause();
   }
   build_bias_index();
 }
 
-std::vector<const Series*> MiniRocket::plan_fit(
-    std::span<const Series* const> train, util::Rng& rng) {
+MiniRocket::FitPlan MiniRocket::plan_fit(std::span<const Series* const> train,
+                                         util::Rng& rng) {
   if (train.empty()) throw std::invalid_argument("MiniRocket::fit: no data");
   input_length_ = train.front()->size();
   if (input_length_ < 9) {
@@ -391,39 +390,136 @@ std::vector<const Series*> MiniRocket::plan_fit(
   // chosen training examples — one example per dilation, shared by the 84
   // kernels of that dilation so the expensive nine-tap sliding sum is
   // computed once.
-  std::vector<const Series*> samples(dilations_.size());
-  for (const Series*& sample : samples) {
+  FitPlan plan;
+  plan.samples.resize(dilations_.size());
+  for (const Series*& sample : plan.samples) {
     sample = train[rng.uniform_int(static_cast<std::uint32_t>(train.size()))];
   }
-  return samples;
-}
-
-void MiniRocket::fit_dilation(std::size_t di, const Series& sample) {
   // Low-discrepancy quantile sequence (golden-ratio spacing), as in the
   // reference implementation, keeps biases spread without clustering.
   constexpr double kPhi = 0.6180339887498949;
+  plan.quantiles.resize(biases_per_combo_);
+  for (std::size_t q = 0; q < biases_per_combo_; ++q) {
+    const double quantile = std::fmod(kPhi * static_cast<double>(q + 1), 1.0);
+    const double rank = quantile * static_cast<double>(input_length_ - 1);
+    BiasQuantile& bq = plan.quantiles[q];
+    bq.lo = static_cast<std::size_t>(std::floor(rank));
+    bq.hi = std::min(bq.lo + 1, input_length_ - 1);
+    bq.frac = rank - static_cast<double>(bq.lo);
+    for (const std::size_t r : {bq.lo, bq.hi}) {
+      const auto at = std::lower_bound(plan.ranks.begin(), plan.ranks.end(), r);
+      if (at == plan.ranks.end() || *at != r) plan.ranks.insert(at, r);
+    }
+  }
+  return plan;
+}
+
+namespace {
+
+// Multi-rank selection: permutes a[lo, hi) so that a[r] holds the r-th
+// smallest value of the range for every r in `rank` (ascending,
+// distinct, inside [lo, hi)), as std::sort would leave it.  Comparisons
+// treat -0.0 and +0.0 as equal, so a selected zero's sign is whichever
+// zero landed there; the input must hold no NaN.
+//
+// Each round partitions the range three ways around the median of its
+// first, middle and last values: a branch-free pass moves the smaller
+// values to the front, and a second pass gathers the pivot's equals
+// after them.  Ranks inside the equal run are final, so a run of equal
+// values (convolutions often hold long runs of exact zeros) is settled
+// in one round.  The side with fewer ranks recurses and the other
+// loops, so the stack depth stays below log2 of the rank count.
+void select_ranks(double* a, std::size_t lo, std::size_t hi,
+                  const std::size_t* rank, std::size_t m) {
+  while (m > 0) {
+    const double first = a[lo], middle = a[lo + (hi - lo) / 2];
+    const double pivot = std::max(std::min(first, middle),
+                                  std::min(std::max(first, middle), a[hi - 1]));
+    std::size_t lt = lo;
+    for (std::size_t i = lo; i < hi; ++i) {
+      const double v = a[i];
+      a[i] = a[lt];
+      a[lt] = v;
+      lt += v < pivot ? 1 : 0;
+    }
+    const std::size_t left = static_cast<std::size_t>(
+        std::lower_bound(rank, rank + m, lt) - rank);
+    if (left == m) {  // every rank lies below the pivot
+      hi = lt;
+      continue;
+    }
+    std::size_t eq = lt;
+    for (std::size_t i = lt; i < hi; ++i) {
+      const double v = a[i];
+      a[i] = a[eq];
+      a[eq] = v;
+      eq += pivot < v ? 0 : 1;
+    }
+    const std::size_t right = static_cast<std::size_t>(
+        std::lower_bound(rank + left, rank + m, eq) - rank);
+    if (left <= m - right) {
+      select_ranks(a, lo, lt, rank, left);
+      lo = eq;
+      rank += right;
+      m -= right;
+    } else {
+      select_ranks(a, eq, hi, rank + right, m - right);
+      hi = lt;
+      m = left;
+    }
+  }
+}
+
+}  // namespace
+
+void MiniRocket::fit_dilation(const FitPlan& plan, std::size_t di) {
   // The transform path's kernels, on this thread's own scratch: tiles of
   // one fit may run concurrently on different pool workers.
   TransformScratch& scratch = thread_transform_scratch();
   scratch.reserve(input_length_, 0, biases_per_combo_);
   const auto n = static_cast<long long>(input_length_);
+  const double* const sample = plan.samples[di]->data();
+  const double* const conv = scratch.conv.data();
+  double* const sorted = scratch.sorted.data();
   const std::size_t num_kernels = minirocket_kernels().size();
-  backend::kernels().nine_tap_sum(sample.data(), n, dilations_[di],
+  backend::kernels().nine_tap_sum(sample, n, dilations_[di],
                                   scratch.sum9.data());
   for (std::size_t ki = 0; ki < num_kernels; ++ki) {
     const std::array<int, 3>& k = minirocket_kernels()[ki];
-    backend::kernel_conv(sample.data(), n, scratch.sum9.data(), k[0], k[1],
-                         k[2], dilations_[di], scratch.conv.data());
-    double* const sorted = scratch.sorted.data();
-    std::copy(scratch.conv.data(), scratch.conv.data() + n, sorted);
-    std::sort(sorted, sorted + n);
+    backend::kernel_conv(sample, n, scratch.sum9.data(), k[0], k[1], k[2],
+                         dilations_[di], scratch.conv.data());
+    bool has_nan = false;
+    for (long long i = 0; i < n; ++i) {
+      sorted[i] = conv[i];
+      has_nan |= std::isnan(conv[i]);
+    }
+    // Selection reproduces std::sort's values at the ranks read below,
+    // except in two cases where std::sort's bits depend on its own
+    // element order: a NaN anywhere, or a rank landing on a zero when
+    // both +0.0 and -0.0 occur.  Those combos take the sort itself.
+    bool use_sort = has_nan;
+    if (!use_sort) {
+      select_ranks(sorted, 0, input_length_, plan.ranks.data(),
+                   plan.ranks.size());
+      bool zero_rank = false;
+      for (const std::size_t r : plan.ranks) zero_rank |= sorted[r] == 0.0;
+      if (zero_rank) {
+        bool pos_zero = false, neg_zero = false;
+        for (long long i = 0; i < n; ++i) {
+          const bool zero = conv[i] == 0.0;
+          neg_zero |= zero && std::signbit(conv[i]);
+          pos_zero |= zero && !std::signbit(conv[i]);
+        }
+        use_sort = pos_zero && neg_zero;
+      }
+    }
+    if (use_sort) {
+      std::copy(conv, conv + n, sorted);
+      std::sort(sorted, sorted + n);
+    }
     const std::size_t combo = ki * dilations_.size() + di;
     for (std::size_t q = 0; q < biases_per_combo_; ++q) {
-      const double quantile = std::fmod(kPhi * static_cast<double>(q + 1), 1.0);
-      const double rank = quantile * static_cast<double>(input_length_ - 1);
-      const auto lo = static_cast<std::size_t>(std::floor(rank));
-      const std::size_t hi = std::min(lo + 1, input_length_ - 1);
-      const double frac = rank - static_cast<double>(lo);
+      const auto [lo, hi, frac] = plan.quantiles[q];
       biases_[combo * biases_per_combo_ + q] =
           sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
     }
@@ -650,23 +746,23 @@ void MultiChannelMiniRocket::fit(
     std::size_t dilation = 0;
   };
   std::vector<Tile> tiles;
-  std::vector<std::vector<const Series*>> samples(channels);
+  std::vector<MiniRocket::FitPlan> plans(channels);
   std::vector<const Series*> channel_train(train.size());
   for (std::size_t c = 0; c < channels; ++c) {
     for (std::size_t i = 0; i < train.size(); ++i) {
       channel_train[i] = &train[i][c];
     }
     util::Rng channel_rng = rng.fork(0xABCD1234ULL + c);
-    samples[c] = per_channel_[c].plan_fit(channel_train, channel_rng);
-    for (std::size_t di = 0; di < samples[c].size(); ++di) {
+    plans[c] = per_channel_[c].plan_fit(channel_train, channel_rng);
+    for (std::size_t di = 0; di < plans[c].samples.size(); ++di) {
       tiles.push_back({c, di});
     }
   }
   try {
     util::parallel_for(tiles.size(), /*chunk=*/1, [&](std::size_t t) {
       const Tile& tile = tiles[t];
-      per_channel_[tile.channel].fit_dilation(
-          tile.dilation, *samples[tile.channel][tile.dilation]);
+      per_channel_[tile.channel].fit_dilation(plans[tile.channel],
+                                              tile.dilation);
     });
   } catch (const util::ParallelForError& e) {
     e.rethrow_cause();

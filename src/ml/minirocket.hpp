@@ -84,7 +84,7 @@ Series dilated_convolution(std::span<const double> x,
 struct TransformScratch {
   Series sum9;    // shared nine-tap sliding sum for one dilation
   Series conv;    // one kernel's convolution response
-  Series sorted;  // fit-time sorted-quantile workspace
+  Series sorted;  // fit-time quantile selection (or fallback sort) copy
   Series x3;      // the series times 3.0, zero-padded on both sides
   std::vector<std::size_t> counts;  // fused PPV tallies (one per quantile)
 
@@ -192,18 +192,32 @@ class MiniRocket {
   // false against every probe, including +inf and NaN).
   void build_bias_index();
 
+  // Bias slot q of every combo interpolates the sorted convolution:
+  // sorted[lo] * (1 - frac) + sorted[hi] * frac.
+  struct BiasQuantile {
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    double frac = 0.0;
+  };
+  struct FitPlan {
+    // The training example of each dilation (empty for max pooling,
+    // which fits no biases).
+    std::vector<const Series*> samples;
+    // One entry per bias slot, and every lo and hi among them once,
+    // ascending: the only sorted positions fit needs.
+    std::vector<BiasQuantile> quantiles;
+    std::vector<std::size_t> ranks;
+  };
   // fit() in two phases, so MultiChannelMiniRocket can put every
   // channel's dilations on the pool in one parallel_for.  plan_fit
   // (serial) validates `train`, sets the dilations and the bias table's
-  // shape, and draws from `rng` the training example of each dilation,
-  // in dilation order; it returns those examples (none for max pooling,
-  // which fits no biases).  fit_dilation computes the bias quantiles of
-  // dilation `di`'s 84 combos from `sample` and writes only their slots,
-  // so distinct dilations may fit concurrently.  build_bias_index()
-  // completes the fit.
-  std::vector<const Series*> plan_fit(std::span<const Series* const> train,
-                                      util::Rng& rng);
-  void fit_dilation(std::size_t di, const Series& sample);
+  // shape, draws from `rng` the training example of each dilation, in
+  // dilation order, and lays out the quantile ranks once for the whole
+  // fit.  fit_dilation computes the bias quantiles of dilation `di`'s 84
+  // combos and writes only their slots, so distinct dilations may fit
+  // concurrently.  build_bias_index() completes the fit.
+  FitPlan plan_fit(std::span<const Series* const> train, util::Rng& rng);
+  void fit_dilation(const FitPlan& plan, std::size_t di);
   friend class MultiChannelMiniRocket;
 
   // Sizes `scratch` for this model and, for PPV pooling, writes the

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "util/rng.hpp"
 
@@ -48,6 +49,16 @@ TEST(Cholesky, NotSquareThrows) {
 TEST(Cholesky, NotPositiveDefiniteThrows) {
   const Matrix a = Matrix::from_rows({{1.0, 2.0}, {2.0, 1.0}});  // eig -1
   EXPECT_THROW(Cholesky{a}, std::domain_error);
+}
+
+// A NaN pivot compares false against 0.0 both ways; the factorization
+// must reject it rather than hand back a factor full of NaN.
+TEST(Cholesky, NanPivotThrowsDomainError) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Matrix a = Matrix::from_rows({{nan, 0.0}, {0.0, 1.0}});
+  EXPECT_THROW(Cholesky{a}, std::domain_error);
+  const Matrix b = Matrix::from_rows({{1.0, nan}, {nan, 1.0}});
+  EXPECT_THROW(Cholesky{b}, std::domain_error);
 }
 
 TEST(Cholesky, LogDeterminant) {

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -29,6 +30,7 @@
 
 #include "backend/policy.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 // ---------------------------------------------------------------------------
 // Allocation-counting hook.  Counting is off by default (gtest and the
@@ -374,6 +376,185 @@ TEST(MiniRocketDifferential, EveryCountingWidthBitIdenticalWithSpecials) {
               << backend::isa_name(isa) << " bpc " << bpc << " probe " << p
               << " feature " << i << ": " << fast[i] << " vs " << ref[i];
         }
+      }
+    }
+  }
+}
+
+// Fit's bias quantiles come from a multi-rank selection instead of a
+// full sort.  The oracle is the sort-based fit written out: each
+// dilation's training example drawn in the same order from a copy of
+// the generator, the active backend's nine-tap sum and the exact
+// kernel_conv (whose NaN payloads the biases inherit), std::sort, and
+// the same interpolation between neighbouring ranks.
+std::vector<double> sort_oracle_biases(const MiniRocket& model,
+                                       const std::vector<Series>& train,
+                                       util::Rng rng) {
+  constexpr double kPhi = 0.6180339887498949;
+  const auto& kernels = minirocket_kernels();
+  const std::vector<int>& dilations = model.dilations();
+  const std::size_t bpc = model.biases_per_combo();
+  const std::size_t n = model.input_length();
+  std::vector<const Series*> samples;
+  for (std::size_t di = 0; di < dilations.size(); ++di) {
+    samples.push_back(
+        &train[rng.uniform_int(static_cast<std::uint32_t>(train.size()))]);
+  }
+  std::vector<double> biases(kernels.size() * dilations.size() * bpc);
+  Series sum9(n), sorted(n);
+  const auto len = static_cast<long long>(n);
+  for (std::size_t di = 0; di < dilations.size(); ++di) {
+    backend::kernels().nine_tap_sum(samples[di]->data(), len, dilations[di],
+                                    sum9.data());
+    for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
+      const std::array<int, 3>& k = kernels[ki];
+      backend::kernel_conv(samples[di]->data(), len, sum9.data(), k[0], k[1],
+                           k[2], dilations[di], sorted.data());
+      std::sort(sorted.begin(), sorted.end());
+      const std::size_t combo = ki * dilations.size() + di;
+      for (std::size_t q = 0; q < bpc; ++q) {
+        const double quantile =
+            std::fmod(kPhi * static_cast<double>(q + 1), 1.0);
+        const double rank = quantile * static_cast<double>(n - 1);
+        const auto lo = static_cast<std::size_t>(std::floor(rank));
+        const std::size_t hi = std::min(lo + 1, n - 1);
+        const double frac = rank - static_cast<double>(lo);
+        biases[combo * bpc + q] =
+            sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+      }
+    }
+  }
+  return biases;
+}
+
+std::vector<std::uint64_t> bit_patterns(std::span<const double> values) {
+  std::vector<std::uint64_t> out;
+  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+// Training series whose convolutions stress the selection: Gaussian
+// values; integer values (ties everywhere); an all-zero channel, which
+// is what channel gating turns a masked channel into (its convolution
+// is +0.0 inside and -0.0 where every tap is out of range); zero runs at
+// both ends mixing +0.0 and -0.0, so selected ranks land on zeros of
+// both signs and the sort fallback runs; and NaN and +/-inf, which send
+// the combos they reach to the fallback or through the selection with
+// infinite values.
+std::vector<std::vector<Series>> fit_stress_sets(std::size_t n,
+                                                 util::Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto gaussian = [&] { return random_series(n, rng); };
+  auto integer = [&] {
+    Series x(n);
+    for (double& v : x) v = std::round(2.0 * rng.normal());
+    return x;
+  };
+  auto zero_ends = [&] {
+    Series x = integer();
+    for (std::size_t i = 0; i < (2 * n) / 5; ++i) {
+      x[i] = (i % 2 == 0) ? -0.0 : 0.0;
+      x[n - 1 - i] = (i % 3 == 0) ? 0.0 : -0.0;
+    }
+    return x;
+  };
+  auto specials = [&] {
+    Series x = gaussian();
+    x[n / 3] = kInf;
+    x[n - 1] = -kInf;
+    return x;
+  };
+  Series with_nan = gaussian();
+  with_nan[n / 2] = std::numeric_limits<double>::quiet_NaN();
+  return {
+      {gaussian(), gaussian(), gaussian()},
+      {integer(), integer(), integer()},
+      {Series(n, 0.0), Series(n, 0.0)},
+      {zero_ends(), zero_ends(), zero_ends()},
+      {specials(), with_nan, specials()},
+  };
+}
+
+std::size_t num_dilations_for(std::size_t length) {
+  std::size_t count = 0;
+  for (std::size_t d = 1; 8 * d < length; d *= 2) ++count;
+  return std::max<std::size_t>(count, 1);
+}
+
+TEST(MiniRocketDifferential, FitBiasesMatchSortOracle) {
+  const std::size_t lengths[] = {9, 10, 16, 17, 90, 600, 601};
+  for (const std::size_t length : lengths) {
+    util::Rng data_rng(0xf17ULL, length);
+    const std::vector<std::vector<Series>> sets =
+        fit_stress_sets(length, data_rng);
+    // Every count 1-17 at the per-key length, a spread at the short
+    // lengths, and the full model's 5 plus both extremes at 600-601.
+    std::vector<std::size_t> counts = {1, 2, 5, 9, 17};
+    if (length == 90) {
+      counts.clear();
+      for (std::size_t b = 1; b <= 17; ++b) counts.push_back(b);
+    } else if (length >= 600) {
+      counts = {1, 5, 17};
+    }
+    const std::size_t combos = 84 * num_dilations_for(length);
+    for (const std::size_t bpc : counts) {
+      MiniRocketOptions options;
+      options.num_features = combos * bpc;
+      for (std::size_t s = 0; s < sets.size(); ++s) {
+        const util::Rng seed_rng(0x5e1ec7ULL + bpc, s);
+        for (const backend::Isa isa : backend::available_isas()) {
+          ForcedBackend forced(isa);
+          MiniRocket model(options);
+          util::Rng rng = seed_rng;
+          model.fit(sets[s], rng);
+          ASSERT_EQ(model.biases_per_combo(), bpc);
+          ASSERT_EQ(bit_patterns(model.biases()),
+                    bit_patterns(sort_oracle_biases(model, sets[s], seed_rng)))
+              << backend::isa_name(isa) << " len=" << length
+              << " bpc=" << bpc << " set=" << s;
+        }
+      }
+    }
+  }
+}
+
+// The multi-channel fit on the same inputs, one channel per stress set:
+// every (channel, dilation) tile on the pool must give the inline fit's
+// bits, and each channel the sort oracle's.
+TEST(MiniRocketDifferential, MultiChannelFitMatchesSortOracle) {
+  for (const std::size_t length : {std::size_t{90}, std::size_t{600}}) {
+    util::Rng data_rng(0xf18ULL, length);
+    const std::vector<std::vector<Series>> sets =
+        fit_stress_sets(length, data_rng);
+    std::vector<std::vector<Series>> train(2);
+    for (std::size_t i = 0; i < train.size(); ++i) {
+      for (const std::vector<Series>& set : sets) train[i].push_back(set[i]);
+    }
+    MiniRocketOptions options;
+    options.num_features = 9996;
+    for (const backend::Isa isa : backend::available_isas()) {
+      ForcedBackend forced(isa);
+      MultiChannelMiniRocket pooled(options), serial(options);
+      util::Rng pooled_rng(0x3c4aULL, length), serial_rng(0x3c4aULL, length);
+      util::Rng oracle_rng = pooled_rng;
+      pooled.fit(train, pooled_rng);
+      util::parallel_for(1, 1,
+                         [&](std::size_t) { serial.fit(train, serial_rng); });
+      ASSERT_EQ(pooled.num_channels(), sets.size());
+      for (std::size_t c = 0; c < sets.size(); ++c) {
+        std::vector<Series> channel_train;
+        for (const auto& sample : train) channel_train.push_back(sample[c]);
+        const util::Rng channel_rng = oracle_rng.fork(0xABCD1234ULL + c);
+        const std::string where = std::string(backend::isa_name(isa)) +
+                                  " len=" + std::to_string(length) +
+                                  " channel=" + std::to_string(c);
+        EXPECT_EQ(bit_patterns(pooled.channel(c).biases()),
+                  bit_patterns(serial.channel(c).biases()))
+            << where;
+        EXPECT_EQ(bit_patterns(pooled.channel(c).biases()),
+                  bit_patterns(sort_oracle_biases(pooled.channel(c),
+                                                  channel_train, channel_rng)))
+            << where;
       }
     }
   }

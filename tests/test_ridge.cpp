@@ -170,6 +170,32 @@ TEST(Ridge, NumericallySingularGridPointIsSkipped) {
   EXPECT_THROW(singular.fit(x, y, opt), std::domain_error);
 }
 
+// A non-finite feature must not yield a "trained" model whose every
+// decision is NaN: fit rejects it up front, whichever row, value and
+// intercept setting.
+TEST(Ridge, NonFiniteFeatureIsRejected) {
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             1e200};  // its square overflows
+  const std::vector<double> y = {1.0, 1.0, 1.0, -1.0, -1.0, -1.0};
+  for (const double special : specials) {
+    for (const bool intercept : {true, false}) {
+      util::Rng rng(7);
+      Matrix x;
+      std::vector<double> unused;
+      make_separable(6, 5, 2.0, rng, x, unused);
+      x(4, 2) = special;
+      RidgeOptions opt;
+      opt.fit_intercept = intercept;
+      RidgeClassifier clf;
+      EXPECT_THROW(clf.fit(x, y, opt), std::invalid_argument)
+          << special << " intercept=" << intercept;
+      EXPECT_FALSE(clf.trained());
+    }
+  }
+}
+
 TEST(Ridge, SaveLoadRoundTripPreservesDecisions) {
   util::Rng rng(42);
   Matrix x;

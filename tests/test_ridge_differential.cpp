@@ -21,6 +21,7 @@
 #include "backend/policy.hpp"
 #include "linalg/matrix.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace p2auth {
 namespace {
@@ -159,6 +160,70 @@ TEST(RidgeDifferential, GramRowsOnPoolMatchesPerPairDotAcrossBackends) {
       for (std::size_t j = 0; j < want.cols(); ++j) {
         ASSERT_TRUE(same_bits(got(i, j), want(i, j)))
             << backend::isa_name(isa) << " g(" << i << ", " << j << ")";
+      }
+    }
+  }
+}
+
+// The register-tiled Gram kernel at every edge its blocking has: row
+// counts below, at and past a register tile and a kGramBlock block (109
+// is the full-waveform model's sample count), and column counts at every
+// stripe tail (n mod 4), at and around the kernel's 512-double feature
+// slices, and the full model's 11760.  Entries include -0.0, +/-inf and
+// NaN.  The only NaN in play is the one the host produces for inf - inf,
+// so every NaN result carries the same bits whichever operand an add or
+// multiply takes it from.  Each backend's gram_rows, pooled and inline,
+// must equal that backend's per-pair linalg::dot loop bit for bit.
+TEST(RidgeDifferential, GramKernelMatchesPerPairDotAtTileEdges) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  volatile double inf = kInf;
+  const double nan = inf - inf;
+  const std::size_t row_counts[] = {1, 2, 3, 4, 5, 7, 8, 9, 109};
+  const std::size_t col_counts[] = {1, 3, 4, 5, 1023, 1024, 1025, 11760};
+  util::Rng rng(0x96a3ULL, 0xbbULL);
+  for (const std::size_t rows : row_counts) {
+    for (const std::size_t cols : col_counts) {
+      linalg::Matrix m(rows, cols);
+      for (double& v : m.data()) v = rng.normal();
+      // Specials in the first stripe block, the last (tail) column and
+      // the middle, on a few rows so most entries stay finite.
+      m(0, 0) = -0.0;
+      m(rows - 1, cols - 1) = -0.0;
+      if (rows >= 3 && cols >= 3) {
+        m(1, cols / 2) = kInf;
+        m(2, cols / 2) = -kInf;
+        m(rows - 1, 1) = nan;
+        m(rows / 2, cols - 2) = -kInf;
+      }
+      const std::string shape =
+          std::to_string(rows) + "x" + std::to_string(cols);
+      for (const backend::Isa isa : backend::available_isas()) {
+        ForcedBackend forced(isa);
+        linalg::Matrix want(rows, rows);
+        for (std::size_t i = 0; i < rows; ++i) {
+          for (std::size_t j = i; j < rows; ++j) {
+            want(i, j) = linalg::dot(m.row(i), m.row(j));
+            want(j, i) = want(i, j);
+          }
+        }
+        linalg::Matrix inline_gram;
+        util::parallel_for(1, 1,
+                           [&](std::size_t) { inline_gram = m.gram_rows(); });
+        const linalg::Matrix pooled = m.gram_rows();
+        const linalg::Matrix* const results[] = {&pooled, &inline_gram};
+        for (const linalg::Matrix* got : results) {
+          ASSERT_EQ(got->rows(), rows);
+          ASSERT_EQ(got->cols(), rows);
+          for (std::size_t i = 0; i < rows; ++i) {
+            for (std::size_t j = 0; j < rows; ++j) {
+              ASSERT_TRUE(same_bits((*got)(i, j), want(i, j)))
+                  << backend::isa_name(isa) << " " << shape
+                  << (got == &pooled ? " pooled" : " inline") << " g(" << i
+                  << ", " << j << ") = " << (*got)(i, j) << " want "
+                  << want(i, j);
+            }
+          }
+        }
       }
     }
   }
