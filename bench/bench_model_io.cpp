@@ -1,12 +1,11 @@
-// Model-store I/O throughput: legacy text vs binary P2MDL001 vs mmap.
+// Model-store I/O throughput: eager P2MDL001 load vs mmap.
 //
 // Builds a registry of N synthetic users (tiny but structurally complete
 // models assembled via from_parts, so generation is cheap and the store
 // shape matches real enrollments), then measures:
 //
 //   * binary save throughput and file size;
-//   * text load vs eager binary load on a subset (the text parser is the
-//     reason the binary format exists — this ratio is the gated number);
+//   * eager binary load of a subset;
 //   * MappedRegistry::open on the full store — the paged path must open
 //     a 100k-user registry in under 2 s (enforced here in full mode)
 //     while faulting in only the name index, which the resident-set
@@ -14,7 +13,7 @@
 //   * per-lookup materialize latency out of the mapping.
 //
 // --quick runs a smaller store for CI; --users N overrides the store
-// size.  Writes BENCH_model_io.json for tools/check_bench_regression.py.
+// size.  Writes BENCH_model_io.json; the exit code enforces the bounds.
 #include <cstdio>
 #include <cstdint>
 #include <fstream>
@@ -24,7 +23,6 @@
 
 #include "bench_common.hpp"
 #include "core/registry.hpp"
-#include "core/serialization.hpp"
 #include "io/binary.hpp"
 #include "io/mmap_registry.hpp"
 #include "util/resource.hpp"
@@ -101,29 +99,21 @@ int main(int argc, char** argv) {
   }
   const double file_mib = static_cast<double>(file_bytes) / (1024.0 * 1024.0);
 
-  // ---- text vs eager binary load (subset) ----------------------------
+  // ---- eager binary load (subset) ------------------------------------
   core::UserRegistry small;
   for (std::size_t i = 0; i < subset; ++i) {
     small.add(user_name(static_cast<std::uint32_t>(i)),
               *registry.find(user_name(static_cast<std::uint32_t>(i))));
   }
-  std::stringstream text_store;
-  small.save(text_store);
   std::stringstream binary_store;
   io::save_user_registry_binary(small, binary_store);
 
-  const double text_load_s = bench::timed_s([&] {
-    text_store.seekg(0);
-    core::UserRegistry loaded = core::UserRegistry::load(text_store);
-    if (loaded.size() != subset) std::abort();
-  });
   const double binary_load_s = bench::timed_s([&] {
     binary_store.seekg(0);
     core::UserRegistry loaded =
         io::load_user_registry_binary(binary_store);
     if (loaded.size() != subset) std::abort();
   });
-  const double load_speedup = text_load_s / binary_load_s;
 
   // ---- mmap open + lookups on the full store -------------------------
   // The registry built above still holds every user; free nothing so the
@@ -156,13 +146,8 @@ int main(int argc, char** argv) {
   table.begin_row().cell("binary save").cell(
       util::format_double(save_s, 2) + " s");
   table.begin_row()
-      .cell("text load (" + std::to_string(subset) + " users)")
-      .cell(util::format_double(text_load_s * 1e3, 1) + " ms");
-  table.begin_row()
       .cell("binary load (" + std::to_string(subset) + " users)")
       .cell(util::format_double(binary_load_s * 1e3, 1) + " ms");
-  table.begin_row().cell("binary vs text speedup").cell(
-      util::format_double(load_speedup, 1) + "x");
   table.begin_row().cell("mmap open").cell(
       util::format_double(open_s * 1e3, 2) + " ms");
   table.begin_row().cell("rss delta after open").cell(
@@ -179,9 +164,7 @@ int main(int argc, char** argv) {
   report.value("users", static_cast<std::uint64_t>(users));
   report.value("file_mib", file_mib);
   report.value("save_binary_s", save_s);
-  report.value("text_load_ms", text_load_s * 1e3);
   report.value("binary_load_ms", binary_load_s * 1e3);
-  report.value("binary_vs_text_load_speedup", load_speedup);
   report.value("mmap_open_ms", open_s * 1e3);
   report.value("rss_open_delta_mib", rss_after_open - rss_before);
   report.value("materialize_us_per_user", lookup_s * 1e6 / lookups);

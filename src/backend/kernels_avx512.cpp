@@ -85,6 +85,19 @@ void nine_tap_sum_avx512(const double* x, long long n, long long d,
   }
 }
 
+// Horizontal sum of eight 64-bit counters.  _mm512_reduce_add_epi64
+// and _mm512_castsi512_si256 start from _mm256_undefined_si256, which
+// gcc 12 reports as used uninitialized; zero-masked extracts define
+// every lane.  The counts are integers, so any order gives the same sum.
+inline long long sum_epi64(__m512i c) {
+  const __m256i q =
+      _mm256_add_epi64(_mm512_maskz_extracti64x4_epi64(0xFF, c, 0),
+                       _mm512_maskz_extracti64x4_epi64(0xFF, c, 1));
+  const __m128i h = _mm_add_epi64(_mm256_extracti128_si256(q, 0),
+                                  _mm256_extracti128_si256(q, 1));
+  return _mm_cvtsi128_si64(_mm_add_epi64(h, _mm_unpackhi_epi64(h, h)));
+}
+
 // Fused convolution and exceedance counting (see the AVX2 backend for
 // why counting beats a gathered binary search; the counts are exact
 // integers, so features stay bit-identical).  One pass builds eight
@@ -141,7 +154,7 @@ void count_pass(const PpvCombo& combo, const double* bias,
   }
 #pragma GCC unroll 8
   for (int k = 0; k < M; ++k) {
-    hist[k] = static_cast<std::size_t>(_mm512_reduce_add_epi64(c[k]));
+    hist[k] = static_cast<std::size_t>(sum_epi64(c[k]));
   }
 }
 

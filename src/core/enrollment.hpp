@@ -78,7 +78,7 @@ class WaveformModel {
   // the training class-mean decisions; compensates class imbalance).
   double threshold() const noexcept { return threshold_; }
 
-  // Reassembles a model from persisted parts (see core/serialization.hpp).
+  // Reassembles a model from persisted parts (see io/binary.hpp).
   static WaveformModel from_parts(ml::MultiChannelMiniRocket rocket,
                                   linalg::RidgeClassifier ridge,
                                   double threshold);

@@ -1,10 +1,9 @@
 // Binary (P2MDL001) persistence of models, users and registries.
 //
-// Three tiers of access, all sharing one record codec and the typed
-// util::SerializeError surface of the text loader they supersede:
+// The library's only model format.  Three tiers of access, all sharing
+// one record codec and the typed util::SerializeError surface:
 //
-//   * save_*/load_* — eager stream/file round trips, drop-in
-//     replacements for the text functions in core/serialization.hpp;
+//   * save_*/load_* — eager stream/file round trips;
 //   * build_user_record / parse_user_record / materialize_user — the
 //     record-level building blocks (a record is a self-contained,
 //     CRC-trailed byte string, so the same parser serves buffers read
@@ -82,8 +81,7 @@ struct MappedUser {
 // ---- record codec -----------------------------------------------------
 
 // Serializes one user into a self-contained CRC-trailed record.  Throws
-// std::logic_error when an engaged model is untrained (same contract as
-// the text writer).
+// std::logic_error when an engaged model is untrained.
 std::vector<std::uint8_t> build_user_record(const core::EnrolledUser& user);
 
 // Builds a zero-copy view; validates structure and, when `verify_crc`,

@@ -1,12 +1,12 @@
 // P2MDL001 — the binary model-store format.
 //
-// The text format in core/serialization.hpp parses every byte through
-// strtod-style tokenizing, which caps a registry load at ~100k tokens/ms
-// and forces the whole store resident.  P2MDL001 replaces it with a
-// deterministic little-endian layout designed so a record can be mapped
-// with mmap and *used in place*: every f64 array (MiniRocket biases,
-// ridge weights) starts at a file offset that is a multiple of 8, so a
-// span can point straight into the mapping — no parse, no copy.
+// A deterministic little-endian layout designed so a record can be
+// mapped with mmap and *used in place*: every f64 array (MiniRocket
+// biases, ridge weights) starts at a file offset that is a multiple of
+// 8, so a span can point straight into the mapping — no parse, no copy.
+// It replaced a tokenized v1 text format, which capped a registry load
+// at ~100k tokens/ms and forced the whole store resident;
+// tools/model_convert migrates v1 stores.
 //
 // File layout (all integers little-endian, all offsets 8-byte aligned):
 //

@@ -16,7 +16,6 @@
 // fails (lambda lost to rounding against a singular K) is skipped.
 #pragma once
 
-#include <iosfwd>
 #include <span>
 
 #include "linalg/matrix.hpp"
@@ -61,13 +60,9 @@ class RidgeClassifier {
   // selection on imbalanced data.
   const Vector& loo_decisions() const noexcept { return loo_decisions_; }
 
-  // Persists / restores a trained classifier (weights, bias, lambda; the
-  // LOO diagnostics are fit-time-only and not stored).
-  void save(std::ostream& os) const;
-  static RidgeClassifier load(std::istream& is);
-
-  // Reassembles a trained classifier from already-parsed parts — shared
-  // by the text loader and the binary reader in src/io/.  Throws
+  // Reassembles a trained classifier from already-parsed parts (weights,
+  // bias, lambda; the LOO diagnostics are fit-time-only and not stored)
+  // — the entry point of the P2MDL001 reader in src/io/.  Throws
   // util::SerializeError on empty weights, non-finite values, or an
   // invalid lambda.
   static RidgeClassifier from_parts(Vector weights, double bias,

@@ -14,36 +14,14 @@
 
 namespace p2auth::ml {
 
-void MiniRocket::save(std::ostream& os) const {
-  if (!fitted()) throw std::logic_error("MiniRocket::save: not fitted");
-  util::write_string(os, "minirocket.v1", "");
-  util::write_u64(os, "num_features_opt", options_.num_features);
-  util::write_u64(os, "max_dilations", options_.max_dilations);
-  util::write_u64(os, "pooling", static_cast<std::uint64_t>(options_.pooling));
-  util::write_u64(os, "input_length", input_length_);
-  util::write_int_vector(os, "dilations", dilations_);
-  util::write_u64(os, "biases_per_combo", biases_per_combo_);
-  util::write_vector(os, "biases", biases_);
+namespace {
+
+bool all_finite(std::span<const double> values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](double v) { return std::isfinite(v); });
 }
 
-MiniRocket MiniRocket::load(std::istream& is) {
-  (void)util::read_string(is, "minirocket.v1");
-  MiniRocketOptions options;
-  options.num_features = util::read_u64(is, "num_features_opt");
-  options.max_dilations = util::read_u64(is, "max_dilations");
-  const auto pooling = util::read_u64(is, "pooling");
-  if (pooling > static_cast<std::uint64_t>(Pooling::kMax)) {
-    throw util::SerializeError(util::SerializeErrc::kBadValue,
-                               "MiniRocket::load: bad pooling value");
-  }
-  options.pooling = static_cast<Pooling>(pooling);
-  const std::size_t input_length = util::read_u64(is, "input_length");
-  std::vector<int> dilations = util::read_int_vector(is, "dilations");
-  const std::size_t biases_per_combo = util::read_u64(is, "biases_per_combo");
-  std::vector<double> biases = util::read_vector(is, "biases");
-  return from_parts(options, input_length, std::move(dilations),
-                    biases_per_combo, std::move(biases));
-}
+}  // namespace
 
 MiniRocket MiniRocket::from_parts(MiniRocketOptions options,
                                   std::size_t input_length,
@@ -82,41 +60,12 @@ MiniRocket MiniRocket::from_parts(MiniRocketOptions options,
   }
   // A corrupted template store must reject loudly here, not surface as
   // NaN feature values (and hence NaN decision scores) at auth time.
-  for (const double b : rocket.biases_) {
-    if (!std::isfinite(b)) {
-      throw util::SerializeError(util::SerializeErrc::kBadValue,
-                                 "MiniRocket::from_parts: non-finite bias");
-    }
+  if (!all_finite(rocket.biases_)) {
+    throw util::SerializeError(util::SerializeErrc::kBadValue,
+                               "MiniRocket::from_parts: non-finite bias");
   }
   rocket.build_bias_index();
   return rocket;
-}
-
-void MultiChannelMiniRocket::save(std::ostream& os) const {
-  if (!fitted()) {
-    throw std::logic_error("MultiChannelMiniRocket::save: not fitted");
-  }
-  util::write_string(os, "mc-minirocket.v1", "");
-  util::write_u64(os, "num_features_opt", options_.num_features);
-  util::write_u64(os, "channels", per_channel_.size());
-  for (const MiniRocket& mr : per_channel_) mr.save(os);
-}
-
-MultiChannelMiniRocket MultiChannelMiniRocket::load(std::istream& is) {
-  (void)util::read_string(is, "mc-minirocket.v1");
-  MiniRocketOptions options;
-  options.num_features = util::read_u64(is, "num_features_opt");
-  const std::uint64_t channels = util::read_u64(is, "channels");
-  if (channels == 0 || channels > 64) {
-    throw util::SerializeError(util::SerializeErrc::kBadShape,
-                               "MultiChannelMiniRocket::load: bad channels");
-  }
-  std::vector<MiniRocket> per_channel;
-  per_channel.reserve(channels);
-  for (std::uint64_t c = 0; c < channels; ++c) {
-    per_channel.push_back(MiniRocket::load(is));
-  }
-  return from_parts(options, std::move(per_channel));
 }
 
 MultiChannelMiniRocket MultiChannelMiniRocket::from_parts(
@@ -347,6 +296,13 @@ void MiniRocket::fit(const std::vector<Series>& train, util::Rng& rng) {
                        [&](std::size_t di) { fit_dilation(plan, di); });
   } catch (const util::ParallelForError& e) {
     e.rethrow_cause();
+  }
+  // NaN or +-inf in the sampled series, or a large finite one whose
+  // convolution overflows, leaves non-finite biases: a transform that
+  // from_parts, and so the model store, would refuse to read back.
+  if (!all_finite(biases_)) {
+    biases_.clear();
+    throw std::invalid_argument("MiniRocket::fit: non-finite bias");
   }
   build_bias_index();
 }
@@ -766,6 +722,14 @@ void MultiChannelMiniRocket::fit(
     });
   } catch (const util::ParallelForError& e) {
     e.rethrow_cause();
+  }
+  // The single-channel fit's rule: every bias must be finite.
+  for (const MiniRocket& mr : per_channel_) {
+    if (!all_finite(mr.biases())) {
+      per_channel_.clear();
+      throw std::invalid_argument(
+          "MultiChannelMiniRocket::fit: non-finite bias");
+    }
   }
   for (MiniRocket& mr : per_channel_) mr.build_bias_index();
 }

@@ -33,7 +33,6 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -111,7 +110,9 @@ class MiniRocket {
   // one length; empty input throws std::invalid_argument).  `rng` selects
   // the training examples used for bias quantiles.  The dilations fit on
   // the shared thread pool; the biases are bit-identical for any thread
-  // count.
+  // count.  A non-finite bias (NaN or +-inf inputs, or overflow) throws
+  // std::invalid_argument and leaves the transform unfitted, so every
+  // fitted transform can be stored and read back.
   void fit(const std::vector<Series>& train, util::Rng& rng);
 
   bool fitted() const noexcept { return !biases_.empty(); }
@@ -159,17 +160,12 @@ class MiniRocket {
   // transform_batch.
   linalg::Matrix transform(const std::vector<Series>& batch) const;
 
-  // Persists / restores a fitted transform (dilations + biases).
-  void save(std::ostream& os) const;
-  static MiniRocket load(std::istream& is);
-
   // Reassembles a fitted transform from already-parsed parts — the entry
-  // point shared by the text loader above and the binary reader in
-  // src/io/.  Validates the shape invariants (every dilation d in
-  // [1, input_length / 8), finite biases, kernel-count consistency) and
-  // throws
-  // util::SerializeError on any inconsistency; on success rebuilds the
-  // derived PPV search index exactly as fit/load do.
+  // point of the P2MDL001 reader in src/io/.  Validates the shape
+  // invariants (every dilation d in [1, input_length / 8), finite
+  // biases, kernel-count consistency) and throws util::SerializeError on
+  // any inconsistency; on success rebuilds the derived PPV search index
+  // exactly as fit does.
   static MiniRocket from_parts(MiniRocketOptions options,
                                std::size_t input_length,
                                std::vector<int> dilations,
@@ -177,7 +173,7 @@ class MiniRocket {
                                std::vector<double> biases);
 
  private:
-  // Derived PPV counting index (not serialized; rebuilt by fit/load).
+  // Derived PPV counting index (not stored; rebuilt by fit/from_parts).
   // The scalar backend counts "conv[i] > bias_q" for all quantiles of a
   // combo in one binary-search pass per element over the combo's
   // *sorted* biases — O(n log q) instead of the scan's O(n q); the SIMD
@@ -257,7 +253,7 @@ class MultiChannelMiniRocket {
   // train[i] is sample i: one Series per channel (all samples must agree
   // on channel count and per-channel length).  Every (channel, dilation)
   // pair fits on the shared thread pool; the biases are bit-identical for
-  // any thread count.
+  // any thread count.  Non-finite biases throw as in MiniRocket::fit.
   void fit(const std::vector<std::vector<Series>>& train, util::Rng& rng);
 
   bool fitted() const noexcept { return !per_channel_.empty(); }
@@ -273,10 +269,7 @@ class MultiChannelMiniRocket {
   linalg::Matrix transform(const std::vector<std::vector<Series>>& batch,
                            std::size_t max_threads = 0) const;
 
-  void save(std::ostream& os) const;
-  static MultiChannelMiniRocket load(std::istream& is);
-
-  // Binary-reader counterpart of load: adopts per-channel transforms
+  // The P2MDL001 reader's entry point: adopts per-channel transforms
   // that were individually validated by MiniRocket::from_parts.  Throws
   // util::SerializeError when `channels` is empty or absurdly wide.
   static MultiChannelMiniRocket from_parts(MiniRocketOptions options,

@@ -1,44 +1,24 @@
-// Tagged text serialization helpers.
+// The typed error of the model store.
 //
-// Enrolled models must persist across reboots of the wearable/phone, so
-// the model classes expose save/load built on these primitives.  The
-// format is deliberately simple: whitespace-separated tokens, each field
-// preceded by a tag word, doubles at round-trip precision.  A mismatched
-// tag or malformed value throws SerializeError with the offending tag in
-// the message.
-//
-// This text format is the legacy store; the binary `P2MDL001` format in
-// src/io/ supersedes it (the text loader is kept for one release so
-// models saved by older builds keep loading, and `tools/model_convert`
-// migrates between the two).  Both loaders share the SerializeError
-// surface below.
-//
-// Hardening invariants (the loaders parse untrusted bytes — a corrupted
-// or hostile model store must fail with a typed error, never crash, hang
-// or OOM):
-//   * length prefixes are validated against the bytes actually remaining
-//     in the stream before any allocation, so a short corrupted file
-//     cannot demand exabytes;
-//   * unsigned fields reject negative tokens ("-1" must not wrap to
-//     2^64-1 and drive a ~2e19-iteration load loop);
-//   * numeric parsing uses std::from_chars and is therefore independent
-//     of the host's LC_NUMERIC locale.
+// Enrolled models must persist across reboots of the wearable/phone; the
+// P2MDL001 reader in src/io/ parses untrusted bytes, so a corrupted or
+// hostile store must fail with a typed SerializeError, never crash, hang
+// or OOM.  The read-only v1 text parser that model_convert uses to
+// migrate old stores (tools/text_v1) throws the same error.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace p2auth::util {
 
-// What went wrong while (de)serializing a model store.  One enum covers
-// the text and binary loaders so callers can switch on the cause without
-// string-matching messages.
+// What went wrong while reading or writing a model store.  One enum
+// covers the P2MDL001 reader and the v1 text parser so callers can
+// switch on the cause without string-matching messages.
 enum class SerializeErrc {
   kTruncated,       // stream ended inside a field / record
   kBadTag,          // tag word or section/record tag mismatch
@@ -57,8 +37,8 @@ enum class SerializeErrc {
 // Human-readable slug for an error code ("truncated", "bad-crc", ...).
 std::string_view serialize_errc_slug(SerializeErrc code) noexcept;
 
-// Typed error thrown by every model (de)serialization path.  Derives
-// from std::runtime_error so pre-existing catch sites keep working.
+// Typed error thrown by every model store path.  Derives from
+// std::runtime_error so pre-existing catch sites keep working.
 class SerializeError : public std::runtime_error {
  public:
   SerializeError(SerializeErrc code, const std::string& message)
@@ -70,39 +50,9 @@ class SerializeError : public std::runtime_error {
   SerializeErrc code_;
 };
 
-// ---- writing ----
-void write_tag(std::ostream& os, std::string_view tag);
-void write_u64(std::ostream& os, std::string_view tag, std::uint64_t v);
-void write_i64(std::ostream& os, std::string_view tag, std::int64_t v);
-void write_double(std::ostream& os, std::string_view tag, double v);
-void write_bool(std::ostream& os, std::string_view tag, bool v);
-// Strings are length-prefixed so empty strings round-trip.
-void write_string(std::ostream& os, std::string_view tag,
-                  std::string_view v);
-void write_vector(std::ostream& os, std::string_view tag,
-                  std::span<const double> v);
-void write_int_vector(std::ostream& os, std::string_view tag,
-                      std::span<const int> v);
-
-// ---- reading (each throws SerializeError on tag/format mismatch) ----
-void expect_tag(std::istream& is, std::string_view tag);
-std::uint64_t read_u64(std::istream& is, std::string_view tag);
-std::int64_t read_i64(std::istream& is, std::string_view tag);
-double read_double(std::istream& is, std::string_view tag);
-bool read_bool(std::istream& is, std::string_view tag);
-std::string read_string(std::istream& is, std::string_view tag);
-std::vector<double> read_vector(std::istream& is, std::string_view tag);
-std::vector<int> read_int_vector(std::istream& is, std::string_view tag);
-
 // Bytes left between the stream's current position and its end, when the
-// stream is seekable (files, stringstreams); nullopt otherwise.  The
-// readers use this to bound length-prefixed allocations; exposed so the
-// binary reader can apply the same bound to record lengths.
+// stream is seekable (files, stringstreams); nullopt otherwise.  Readers
+// use this to bound length-prefixed allocations before making them.
 std::optional<std::uint64_t> remaining_bytes(std::istream& is);
-
-// Element-count cap applied when the stream is not seekable (a pipe):
-// large enough for any real model, small enough that a corrupted length
-// cannot demand unbounded memory before the per-element reads fail.
-inline constexpr std::uint64_t kUnseekableLengthCap = 1u << 28;
 
 }  // namespace p2auth::util

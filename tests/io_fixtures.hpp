@@ -2,16 +2,21 @@
 //
 // Built directly via the from_parts validators (no enrollment pipeline),
 // so constructing a structurally complete EnrolledUser costs microseconds
-// and the same seed always produces byte-identical stores — which is what
-// lets the golden-fixture tests pin the text format across releases.
+// and the same seed always produces byte-identical stores.  The layout
+// itself is pinned by the golden images in tests/data/*.p2mdl.
 #pragma once
 
+#include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/enrollment.hpp"
 #include "core/registry.hpp"
+#include "io/format.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace p2auth::testing {
@@ -71,6 +76,18 @@ inline core::UserRegistry make_test_registry(std::uint64_t seed = 20260808) {
   registry.add("bob", make_test_user(rng, 2, "0413"));
   registry.add("carol", make_test_user(rng, 3, "77"));
   return registry;
+}
+
+// Re-stamps the CRC trailer of a single-user file image after a
+// deliberate field patch, so the structural validator (not the CRC) is
+// what rejects the mutation.
+inline void restamp_user_crc(std::string& file) {
+  auto* bytes = reinterpret_cast<std::uint8_t*>(file.data());
+  const std::span<const std::uint8_t> record(
+      bytes + io::kFileHeaderBytes, file.size() - io::kFileHeaderBytes);
+  const std::uint32_t crc =
+      util::crc32(record.first(record.size() - io::kRecordTrailerBytes));
+  std::memcpy(bytes + file.size() - 12, &crc, sizeof(crc));
 }
 
 }  // namespace p2auth::testing

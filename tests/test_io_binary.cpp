@@ -10,10 +10,10 @@
 #include <string_view>
 #include <vector>
 
-#include "core/serialization.hpp"
 #include "io/format.hpp"
 #include "io/mmap_registry.hpp"
 #include "io_fixtures.hpp"
+#include "text_v1.hpp"
 #include "util/crc32.hpp"
 #include "util/serialize.hpp"
 
@@ -25,15 +25,16 @@ using core::UserRegistry;
 using util::SerializeErrc;
 using util::SerializeError;
 
-std::string text_of(const EnrolledUser& user) {
+// The equality oracle: every stored field reaches the P2MDL001 bytes.
+std::string bytes_of(const EnrolledUser& user) {
   std::ostringstream os;
-  core::save_enrolled_user(user, os);
+  save_enrolled_user_binary(user, os);
   return os.str();
 }
 
-std::string text_of(const UserRegistry& registry) {
+std::string bytes_of(const UserRegistry& registry) {
   std::ostringstream os;
-  registry.save(os);
+  save_user_registry_binary(registry, os);
   return os.str();
 }
 
@@ -107,7 +108,7 @@ TEST(IoBinary, UserRoundTripIsLossless) {
   std::stringstream ss;
   save_enrolled_user_binary(user, ss);
   const EnrolledUser restored = load_enrolled_user_binary(ss);
-  EXPECT_EQ(text_of(restored), text_of(user));
+  EXPECT_EQ(bytes_of(restored), bytes_of(user));
 }
 
 TEST(IoBinary, UserFileRoundTripIsLossless) {
@@ -115,7 +116,7 @@ TEST(IoBinary, UserFileRoundTripIsLossless) {
   TempFile tmp("io_user_roundtrip.p2mdl");
   save_enrolled_user_binary_file(user, tmp.path);
   const EnrolledUser restored = load_enrolled_user_binary_file(tmp.path);
-  EXPECT_EQ(text_of(restored), text_of(user));
+  EXPECT_EQ(bytes_of(restored), bytes_of(user));
 }
 
 TEST(IoBinary, RegistryRoundTripIsLossless) {
@@ -123,7 +124,7 @@ TEST(IoBinary, RegistryRoundTripIsLossless) {
   std::stringstream ss;
   save_user_registry_binary(registry, ss);
   const UserRegistry restored = load_user_registry_binary(ss);
-  EXPECT_EQ(text_of(restored), text_of(registry));
+  EXPECT_EQ(bytes_of(restored), bytes_of(registry));
 }
 
 TEST(IoBinary, FileWriterMatchesStreamWriterByteForByte) {
@@ -206,7 +207,7 @@ TEST(IoBinary, MappedRegistryLookupAndMaterialize) {
   for (const std::string_view name : names) {
     rebuilt.add(std::string(name), mapped.materialize(name));
   }
-  EXPECT_EQ(text_of(rebuilt), text_of(registry));
+  EXPECT_EQ(bytes_of(rebuilt), bytes_of(registry));
 }
 
 TEST(IoBinary, ProbeFileKindDistinguishesStores) {
@@ -237,42 +238,41 @@ TEST(IoBinary, EmptyRegistryRoundTrips) {
   EXPECT_EQ(restored.size(), 0u);
 }
 
-// ---- golden fixtures: the v1 text format must keep loading ------------
+// ---- golden images: the P2MDL001 layout, pinned byte for byte --------
+//
+// tests/data/*_v1.p2mdl were written by model_convert from the v1 text
+// fixtures beside them.  Each v1 fixture must still migrate to exactly
+// its image, and each image must load and save back to itself.
+
+std::string file_bytes(const std::string& name) {
+  std::ifstream in(data_path(name), std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
 
 TEST(IoBinary, GoldenUserTextFixtureLoadsAndRoundTrips) {
-  std::ifstream in(data_path("enrolled_user_v1.txt"), std::ios::binary);
-  ASSERT_TRUE(in) << "missing tests/data/enrolled_user_v1.txt";
-  std::stringstream fixture;
-  fixture << in.rdbuf();
+  std::ifstream text(data_path("enrolled_user_v1.txt"), std::ios::binary);
+  ASSERT_TRUE(text) << "missing tests/data/enrolled_user_v1.txt";
+  const std::string golden = file_bytes("enrolled_user_v1.p2mdl");
+  ASSERT_EQ(golden.size(), 8720u) << "tests/data/enrolled_user_v1.p2mdl";
 
-  fixture.seekg(0);
-  const EnrolledUser user = core::load_enrolled_user(fixture);
-  // Lossless parse/print: re-saving reproduces the fixture bytes.
-  EXPECT_EQ(text_of(user), fixture.str());
-
-  // Text -> binary -> text stays byte-identical (the model_convert
-  // migration path is lossless).
-  std::stringstream binary;
-  save_enrolled_user_binary(user, binary);
-  const EnrolledUser converted = load_enrolled_user_binary(binary);
-  EXPECT_EQ(text_of(converted), fixture.str());
+  EXPECT_EQ(bytes_of(text_v1::read_enrolled_user(text)), golden);
+  std::stringstream image(golden);
+  EXPECT_EQ(bytes_of(load_enrolled_user_binary(image)), golden);
 }
 
 TEST(IoBinary, GoldenRegistryTextFixtureLoadsAndRoundTrips) {
-  std::ifstream in(data_path("registry_v1.txt"), std::ios::binary);
-  ASSERT_TRUE(in) << "missing tests/data/registry_v1.txt";
-  std::stringstream fixture;
-  fixture << in.rdbuf();
+  std::ifstream text(data_path("registry_v1.txt"), std::ios::binary);
+  ASSERT_TRUE(text) << "missing tests/data/registry_v1.txt";
+  const std::string golden = file_bytes("registry_v1.p2mdl");
+  ASSERT_EQ(golden.size(), 26256u) << "tests/data/registry_v1.p2mdl";
 
-  fixture.seekg(0);
-  const UserRegistry registry = UserRegistry::load(fixture);
+  const UserRegistry registry = text_v1::read_user_registry(text);
   EXPECT_EQ(registry.size(), 3u);
-  EXPECT_EQ(text_of(registry), fixture.str());
-
-  std::stringstream binary;
-  save_user_registry_binary(registry, binary);
-  const UserRegistry converted = load_user_registry_binary(binary);
-  EXPECT_EQ(text_of(converted), fixture.str());
+  EXPECT_EQ(bytes_of(registry), golden);
+  std::stringstream image(golden);
+  EXPECT_EQ(bytes_of(load_user_registry_binary(image)), golden);
 }
 
 }  // namespace

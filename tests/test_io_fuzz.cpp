@@ -1,25 +1,31 @@
-// Corrupted-store fuzz suite shared by the text and binary loaders.
+// Corrupted-store fuzz suite for the P2MDL001 reader and the read-only
+// v1 text parser that model_convert migrates old stores with.
 //
-// Contract under corruption: a loader either succeeds (a mutation can
+// Contract under corruption: a reader either succeeds (a mutation can
 // land in a don't-care byte or produce a different-but-valid value — the
 // text format especially) or throws util::SerializeError.  It must never
 // crash, escape with another exception type, or attempt an allocation
 // sized by a corrupted length field.  For the binary format the contract
 // is stricter: every bit flip inside the CRC-covered region of a record
-// (or the registry name index) must be rejected.
+// (or the registry name index) must be rejected.  The text cases mutate
+// the v1 fixture tests/data/enrolled_user_v1.txt.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "core/serialization.hpp"
 #include "io/binary.hpp"
 #include "io/bytes.hpp"
 #include "io/format.hpp"
 #include "io_fixtures.hpp"
+#include "text_v1.hpp"
 #include "util/crc32.hpp"
 #include "util/serialize.hpp"
 
@@ -49,9 +55,11 @@ std::string binary_registry_bytes() {
 }
 
 std::string text_user_bytes() {
-  std::ostringstream os;
-  core::save_enrolled_user(fuzz_user(), os);
-  return os.str();
+  std::ifstream in(std::string(P2AUTH_TEST_DATA_DIR) + "/enrolled_user_v1.txt",
+                   std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
 }
 
 // Result of one corrupted-load attempt.
@@ -81,23 +89,11 @@ Outcome load_binary_registry(const std::string& bytes) {
 Outcome load_text_user(const std::string& bytes) {
   std::istringstream ss(bytes);
   try {
-    (void)core::load_enrolled_user(ss);
+    (void)text_v1::read_enrolled_user(ss);
     return Outcome::kLoaded;
   } catch (const SerializeError&) {
     return Outcome::kTypedError;
   }
-}
-
-// Re-stamps the CRC trailer of a single-user file image after a
-// deliberate field patch, so the structural validator (not the CRC) is
-// what rejects the mutation.
-void restamp_user_crc(std::string& file) {
-  auto* bytes = reinterpret_cast<std::uint8_t*>(file.data());
-  const std::span<const std::uint8_t> record(
-      bytes + kFileHeaderBytes, file.size() - kFileHeaderBytes);
-  const std::uint32_t crc =
-      util::crc32(record.first(record.size() - kRecordTrailerBytes));
-  std::memcpy(bytes + file.size() - 12, &crc, sizeof(crc));
 }
 
 void patch_u64(std::string& file, std::size_t offset, std::uint64_t v) {
@@ -206,7 +202,7 @@ constexpr std::size_t kOffPinLen = 120;
 TEST(IoFuzz, OversizedRecordLengthRejectedWithoutAllocation) {
   std::string bad = binary_user_bytes();
   patch_u64(bad, kOffRecordLen, std::uint64_t{1} << 60);
-  restamp_user_crc(bad);
+  testing::restamp_user_crc(bad);
   std::stringstream ss(bad);
   try {
     (void)load_enrolled_user_binary(ss);
@@ -219,7 +215,7 @@ TEST(IoFuzz, OversizedRecordLengthRejectedWithoutAllocation) {
 TEST(IoFuzz, OversizedSectionLengthRejected) {
   std::string bad = binary_user_bytes();
   patch_u64(bad, kOffUsrhLen, std::uint64_t{1} << 50);
-  restamp_user_crc(bad);
+  testing::restamp_user_crc(bad);
   std::stringstream ss(bad);
   try {
     (void)load_enrolled_user_binary(ss);
@@ -232,7 +228,7 @@ TEST(IoFuzz, OversizedSectionLengthRejected) {
 TEST(IoFuzz, OversizedPinLengthRejected) {
   std::string bad = binary_user_bytes();
   patch_u64(bad, kOffPinLen, std::uint64_t{1} << 40);
-  restamp_user_crc(bad);
+  testing::restamp_user_crc(bad);
   std::stringstream ss(bad);
   try {
     (void)load_enrolled_user_binary(ss);
@@ -344,7 +340,7 @@ TEST(IoFuzz, IndexEntrySpanOutOfBoundsRejected) {
   }
 }
 
-// ---- text loader under the same mutations -----------------------------
+// ---- v1 text parser under the same mutations ---------------------------
 
 TEST(IoFuzz, TextTruncationNeverEscapesTyped) {
   const std::string good = text_user_bytes();
@@ -382,7 +378,7 @@ TEST(IoFuzz, TextNegativeCountRejected) {
               "stats.full_positives -9");
   std::istringstream ss(bad);
   try {
-    (void)core::load_enrolled_user(ss);
+    (void)text_v1::read_enrolled_user(ss);
     FAIL() << "negative count loaded";
   } catch (const SerializeError& e) {
     EXPECT_EQ(e.code(), SerializeErrc::kBadValue);
@@ -398,19 +394,19 @@ TEST(IoFuzz, TextOversizedStringLengthRejected) {
   bad.replace(pos, std::strlen("pin 4 "), "pin 99999999999999 ");
   std::istringstream ss(bad);
   try {
-    (void)core::load_enrolled_user(ss);
+    (void)text_v1::read_enrolled_user(ss);
     FAIL() << "oversized string length loaded";
   } catch (const SerializeError& e) {
     EXPECT_EQ(e.code(), SerializeErrc::kLengthOverflow);
   }
 }
 
-// ---- serialize-helper bounds (the text loader's first line of defense) -
+// ---- field-reader bounds (the text parser's first line of defense) -----
 
 TEST(IoFuzz, ReadU64RejectsNegativeTokens) {
   std::istringstream ss("count -1");
   try {
-    (void)util::read_u64(ss, "count");
+    (void)text_v1::read_u64(ss, "count");
     FAIL() << "-1 parsed as u64";
   } catch (const SerializeError& e) {
     EXPECT_EQ(e.code(), SerializeErrc::kBadValue);
@@ -420,7 +416,7 @@ TEST(IoFuzz, ReadU64RejectsNegativeTokens) {
 TEST(IoFuzz, ReadVectorBoundsCountByStreamBytes) {
   std::istringstream ss("weights 1000000000000 1.0 2.0");
   try {
-    (void)util::read_vector(ss, "weights");
+    (void)text_v1::read_vector(ss, "weights");
     FAIL() << "absurd element count accepted";
   } catch (const SerializeError& e) {
     EXPECT_EQ(e.code(), SerializeErrc::kLengthOverflow);
@@ -432,7 +428,7 @@ TEST(IoFuzz, ReadStringValidatesSeparator) {
   // separator rule is what a '\n' in its place violates.
   std::istringstream ss("name 3\nabcdef");
   try {
-    (void)util::read_string(ss, "name");
+    (void)text_v1::read_string(ss, "name");
     FAIL() << "bad separator accepted";
   } catch (const SerializeError& e) {
     EXPECT_EQ(e.code(), SerializeErrc::kBadSeparator);
@@ -442,21 +438,91 @@ TEST(IoFuzz, ReadStringValidatesSeparator) {
 TEST(IoFuzz, ReadDoubleIsLocaleIndependent) {
   {
     std::istringstream ss("x 1.5 x -2.25e3 x nan x -inf x infinity");
-    EXPECT_DOUBLE_EQ(util::read_double(ss, "x"), 1.5);
-    EXPECT_DOUBLE_EQ(util::read_double(ss, "x"), -2250.0);
-    EXPECT_TRUE(std::isnan(util::read_double(ss, "x")));
-    EXPECT_TRUE(std::isinf(util::read_double(ss, "x")));
-    EXPECT_TRUE(std::isinf(util::read_double(ss, "x")));
+    EXPECT_DOUBLE_EQ(text_v1::read_double(ss, "x"), 1.5);
+    EXPECT_DOUBLE_EQ(text_v1::read_double(ss, "x"), -2250.0);
+    EXPECT_TRUE(std::isnan(text_v1::read_double(ss, "x")));
+    EXPECT_TRUE(std::isinf(text_v1::read_double(ss, "x")));
+    EXPECT_TRUE(std::isinf(text_v1::read_double(ss, "x")));
   }
   {
     // A comma mantissa (the de_DE strtod trap) must fail typed, not
     // silently parse its integer prefix.
     std::istringstream ss("x 1,5");
     try {
-      (void)util::read_double(ss, "x");
+      (void)text_v1::read_double(ss, "x");
       FAIL() << "comma mantissa accepted";
     } catch (const SerializeError& e) {
       EXPECT_EQ(e.code(), SerializeErrc::kBadValue);
+    }
+  }
+}
+
+TEST(SerializeHelpers, WrongTagThrows) {
+  std::istringstream ss("alpha 1\n");
+  EXPECT_THROW(text_v1::read_u64(ss, "beta"), std::runtime_error);
+}
+
+TEST(SerializeHelpers, TruncatedValueThrows) {
+  std::istringstream ss("v 5 1.0 2.0");
+  EXPECT_THROW(text_v1::read_vector(ss, "v"), std::runtime_error);
+}
+
+// Every whitespace-boundary truncation of the v1 fixture must surface as
+// a typed error, never a crash, hang or silently half-initialised user.
+TEST(MiniRocketSerialization, TruncatedStreamsRejected) {
+  const std::string text = text_user_bytes();
+  ASSERT_EQ(load_text_user(text), Outcome::kLoaded);
+  std::size_t tested = 0;
+  // The final cut position (the trailing newline) is excluded: stream
+  // extraction does not need it, so that "truncation" still parses.
+  for (std::size_t cut = 0; cut + 1 < text.size(); ++cut) {
+    // Truncating mid-token is covered by the nearest boundary cut; token
+    // boundaries are where the reader's state machine actually lands.
+    if (cut != 0 && !std::isspace(static_cast<unsigned char>(text[cut]))) {
+      continue;
+    }
+    std::istringstream bad(text.substr(0, cut));
+    EXPECT_THROW((void)text_v1::read_enrolled_user(bad), SerializeError)
+        << "cut at " << cut;
+    ++tested;
+  }
+  EXPECT_GT(tested, 10u);
+}
+
+// Swapping two tagged fields of the fixture's first MiniRocket must be
+// caught by the tag check of whichever field is read first, as a typed
+// error naming the expected tag.
+TEST(MiniRocketSerialization, FieldReorderedStreamsRejected) {
+  const std::string text = text_user_bytes();
+  // A u64 field serializes as "tag value\n"; swap two such fields while
+  // leaving everything between them in place.
+  const auto swap_fields = [&](std::string_view first,
+                               std::string_view second) {
+    const std::size_t a = text.find(first);
+    const std::size_t a_end = text.find('\n', a) + 1;
+    const std::size_t b = text.find(second);
+    const std::size_t b_end = text.find('\n', b) + 1;
+    EXPECT_NE(a, std::string::npos);
+    EXPECT_NE(b, std::string::npos);
+    EXPECT_LE(a_end, b);
+    return text.substr(0, a) + text.substr(b, b_end - b) +
+           text.substr(a_end, b - a_end) + text.substr(a, a_end - a) +
+           text.substr(b_end);
+  };
+  for (const auto& [first, second] :
+       std::vector<std::pair<std::string_view, std::string_view>>{
+           {"max_dilations", "pooling"},
+           {"input_length", "biases_per_combo"}}) {
+    std::istringstream bad(swap_fields(first, second));
+    try {
+      (void)text_v1::read_enrolled_user(bad);
+      FAIL() << "expected std::runtime_error swapping " << first << "/"
+             << second;
+    } catch (const std::runtime_error& e) {
+      // The error must name the tag the reader expected.
+      EXPECT_NE(std::string(e.what()).find(std::string(first)),
+                std::string::npos)
+          << e.what();
     }
   }
 }

@@ -25,6 +25,7 @@
 #include <optional>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -253,16 +254,19 @@ TEST(MiniRocketDifferential, BatchMatchesReferenceAcrossThreadCounts) {
   }
 }
 
-// Models that arrive via save/load (the deployment path) must transform
-// identically to the freshly fitted instance through both engines.
+// Models that arrive through the model store (the deployment path:
+// from_parts rebuilds the search index from the stored parts) must
+// transform identically to the freshly fitted instance through both
+// engines.
 TEST(MiniRocketDifferential, ReloadedModelStaysBitIdentical) {
   for (const backend::Isa isa : backend::available_isas()) {
     ForcedBackend forced(isa);
     const std::string backend_name = backend::isa_name(isa);
     const MiniRocket model = fitted_model(90, Pooling::kPpv, 0x5e71a1ULL);
-    std::stringstream stream;
-    model.save(stream);
-    const MiniRocket reloaded = MiniRocket::load(stream);
+    const MiniRocket reloaded = MiniRocket::from_parts(
+        model.options(), model.input_length(), model.dilations(),
+        model.biases_per_combo(),
+        std::vector<double>(model.biases().begin(), model.biases().end()));
     util::Rng rng(0x5e71a1d0ULL, 0x22ULL);
     for (std::size_t c = 0; c < 25; ++c) {
       const Series x = random_series(90, rng);
@@ -440,7 +444,10 @@ std::vector<std::uint64_t> bit_patterns(std::span<const double> values) {
 // both ends mixing +0.0 and -0.0, so selected ranks land on zeros of
 // both signs and the sort fallback runs; and NaN and +/-inf, which send
 // the combos they reach to the fallback or through the selection with
-// infinite values.
+// infinite values.  That last set (kSpecialsSet) leaves non-finite
+// biases, so fit refuses it.
+constexpr std::size_t kSpecialsSet = 4;
+
 std::vector<std::vector<Series>> fit_stress_sets(std::size_t n,
                                                  util::Rng& rng) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -506,6 +513,13 @@ TEST(MiniRocketDifferential, FitBiasesMatchSortOracle) {
           ForcedBackend forced(isa);
           MiniRocket model(options);
           util::Rng rng = seed_rng;
+          if (s == kSpecialsSet) {
+            EXPECT_THROW(model.fit(sets[s], rng), std::invalid_argument)
+                << backend::isa_name(isa) << " len=" << length
+                << " bpc=" << bpc;
+            EXPECT_FALSE(model.fitted());
+            continue;
+          }
           model.fit(sets[s], rng);
           ASSERT_EQ(model.biases_per_combo(), bpc);
           ASSERT_EQ(bit_patterns(model.biases()),
@@ -518,9 +532,10 @@ TEST(MiniRocketDifferential, FitBiasesMatchSortOracle) {
   }
 }
 
-// The multi-channel fit on the same inputs, one channel per stress set:
-// every (channel, dilation) tile on the pool must give the inline fit's
-// bits, and each channel the sort oracle's.
+// The multi-channel fit on the same inputs, one channel per stress set
+// fit accepts: every (channel, dilation) tile on the pool must give the
+// inline fit's bits, and each channel the sort oracle's.  Adding the
+// specials channel makes the whole fit throw.
 TEST(MiniRocketDifferential, MultiChannelFitMatchesSortOracle) {
   for (const std::size_t length : {std::size_t{90}, std::size_t{600}}) {
     util::Rng data_rng(0xf18ULL, length);
@@ -528,7 +543,13 @@ TEST(MiniRocketDifferential, MultiChannelFitMatchesSortOracle) {
         fit_stress_sets(length, data_rng);
     std::vector<std::vector<Series>> train(2);
     for (std::size_t i = 0; i < train.size(); ++i) {
-      for (const std::vector<Series>& set : sets) train[i].push_back(set[i]);
+      for (std::size_t s = 0; s < kSpecialsSet; ++s) {
+        train[i].push_back(sets[s][i]);
+      }
+    }
+    std::vector<std::vector<Series>> with_specials = train;
+    for (std::size_t i = 0; i < with_specials.size(); ++i) {
+      with_specials[i].push_back(sets[kSpecialsSet][i]);
     }
     MiniRocketOptions options;
     options.num_features = 9996;
@@ -540,8 +561,8 @@ TEST(MiniRocketDifferential, MultiChannelFitMatchesSortOracle) {
       pooled.fit(train, pooled_rng);
       util::parallel_for(1, 1,
                          [&](std::size_t) { serial.fit(train, serial_rng); });
-      ASSERT_EQ(pooled.num_channels(), sets.size());
-      for (std::size_t c = 0; c < sets.size(); ++c) {
+      ASSERT_EQ(pooled.num_channels(), kSpecialsSet);
+      for (std::size_t c = 0; c < kSpecialsSet; ++c) {
         std::vector<Series> channel_train;
         for (const auto& sample : train) channel_train.push_back(sample[c]);
         const util::Rng channel_rng = oracle_rng.fork(0xABCD1234ULL + c);
@@ -556,6 +577,12 @@ TEST(MiniRocketDifferential, MultiChannelFitMatchesSortOracle) {
                                                   channel_train, channel_rng)))
             << where;
       }
+      MultiChannelMiniRocket refused(options);
+      util::Rng refused_rng(0x3c4aULL, length);
+      EXPECT_THROW(refused.fit(with_specials, refused_rng),
+                   std::invalid_argument)
+          << backend::isa_name(isa) << " len=" << length;
+      EXPECT_FALSE(refused.fitted());
     }
   }
 }

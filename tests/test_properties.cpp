@@ -6,7 +6,6 @@
 
 #include <array>
 #include <cmath>
-#include <sstream>
 
 #include "core/authenticator.hpp"
 #include "core/enrollment.hpp"
@@ -280,36 +279,31 @@ TEST(MiniRocketProperties, DilationExceedingLengthMatchesNaive) {
 }
 
 TEST(MiniRocketProperties, LoadedEdgeDominatedDilationTransformsBitExact) {
-  // Hand-assemble models through the loader.  At length 33 the largest
-  // legal dilation's receptive field (8*4 = 32) just fits, so all but
-  // one output of that dilation have taps outside the series: the
-  // padded fast path must still match the reference oracle
-  // bit-for-bit.  At length 10 the same dilation's field no longer fits,
-  // and the loader rejects the model.
+  // Hand-assemble models through from_parts, the model store's entry
+  // point.  At length 33 the largest legal dilation's receptive field
+  // (8*4 = 32) just fits, so all but one output of that dilation have
+  // taps outside the series: the padded fast path must still match the
+  // reference oracle bit-for-bit.  At length 10 the same dilation's
+  // field no longer fits, and from_parts rejects the model.
   util::Rng rng(0x10adULL, 0xaaULL);
-  auto model_stream = [&](std::size_t length) {
+  auto assemble = [&](std::size_t length) {
     const std::vector<int> dilations = {1, 2, 4};
     const std::size_t combos =
         ml::minirocket_kernels().size() * dilations.size();
-    std::stringstream ss;
-    util::write_string(ss, "minirocket.v1", "");
-    util::write_u64(ss, "num_features_opt", combos);
-    util::write_u64(ss, "max_dilations", 32);
-    util::write_u64(ss, "pooling", 0);  // kPpv
-    util::write_u64(ss, "input_length", length);
-    util::write_int_vector(ss, "dilations", dilations);
-    util::write_u64(ss, "biases_per_combo", 1);
+    ml::MiniRocketOptions options;
+    options.num_features = combos;
+    options.max_dilations = 32;
+    options.pooling = ml::Pooling::kPpv;
     std::vector<double> biases(combos);
     for (double& b : biases) b = rng.normal();
-    util::write_vector(ss, "biases", biases);
-    return ss;
+    return ml::MiniRocket::from_parts(options, length, dilations,
+                                      /*biases_per_combo=*/1,
+                                      std::move(biases));
   };
-  std::stringstream oversized = model_stream(10);
-  EXPECT_THROW((void)ml::MiniRocket::load(oversized), util::SerializeError);
+  EXPECT_THROW((void)assemble(10), util::SerializeError);
 
   const std::size_t length = 33;
-  std::stringstream ss = model_stream(length);
-  const ml::MiniRocket model = ml::MiniRocket::load(ss);
+  const ml::MiniRocket model = assemble(length);
   for (int trial = 0; trial < 20; ++trial) {
     const ml::Series x = random_series(length, rng);
     const linalg::Vector fast = model.transform(x);

@@ -7,6 +7,7 @@
 #include <limits>
 #include <sstream>
 
+#include "io/binary.hpp"
 #include "sim/dataset.hpp"
 
 namespace p2auth::core {
@@ -164,8 +165,8 @@ TEST(Registry, IdentifyOnEmptyRegistryThrows) {
 TEST(Registry, SaveLoadRoundTrip) {
   const TwoUsers& f = fixture();
   std::stringstream ss;
-  f.registry.save(ss);
-  const UserRegistry restored = UserRegistry::load(ss);
+  io::save_user_registry_binary(f.registry, ss);
+  const UserRegistry restored = io::load_user_registry_binary(ss);
   EXPECT_EQ(restored.size(), 2u);
   const Observation obs = f.entry_by(0, f.pin_a, 60);
   EXPECT_EQ(f.registry.verify("alice", obs).accepted,
@@ -176,7 +177,7 @@ TEST(Registry, SaveLoadRoundTrip) {
 
 TEST(Registry, LoadRejectsCorruptedHeader) {
   std::istringstream bad("not-a-registry 0");
-  EXPECT_THROW(UserRegistry::load(bad), std::runtime_error);
+  EXPECT_THROW(io::load_user_registry_binary(bad), std::runtime_error);
 }
 
 // Regression: an entry whose preprocessing found no calibrated keystroke
@@ -204,7 +205,7 @@ TEST(Registry, ScoreOrderIsStrictWeakOrderingWithNaNs) {
   std::vector<std::pair<std::string, double>> scores;
   for (int i = 0; i < 64; ++i) {
     const int mode = i % 4;
-    scores.emplace_back("u" + std::to_string(i),
+    scores.emplace_back(std::string("u") + std::to_string(i),
                         mode == 0 ? nan : (1.0 - 0.1 * (i % 7)));
   }
   std::sort(scores.begin(), scores.end(), detail::score_order);

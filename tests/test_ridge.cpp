@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <string>
 
 #include "util/rng.hpp"
@@ -203,9 +202,11 @@ TEST(Ridge, SaveLoadRoundTripPreservesDecisions) {
   make_separable(20, 10, 2.0, rng, x, y);
   RidgeClassifier clf;
   clf.fit(x, y);
-  std::stringstream ss;
-  clf.save(ss);
-  const RidgeClassifier restored = RidgeClassifier::load(ss);
+  // The model store keeps weights, bias and lambda and rebuilds the
+  // classifier with from_parts, the P2MDL001 reader's entry point.
+  const RidgeClassifier restored =
+      RidgeClassifier::from_parts(clf.weights(), clf.bias(),
+                                  clf.chosen_lambda());
   EXPECT_EQ(restored.chosen_lambda(), clf.chosen_lambda());
   for (std::size_t i = 0; i < x.rows(); ++i) {
     EXPECT_DOUBLE_EQ(restored.decision(x.row(i)), clf.decision(x.row(i)));
@@ -215,10 +216,9 @@ TEST(Ridge, SaveLoadRoundTripPreservesDecisions) {
 // A damaged template store must reject loudly at load time instead of
 // producing NaN decision scores during authentication.
 TEST(Ridge, LoadRejectsNonFiniteWeights) {
-  std::istringstream corrupted("ridge.v1 0\nweights 2 0.5 nan\nbias 0.1\n"
-                               "lambda 1\n");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   try {
-    RidgeClassifier::load(corrupted);
+    (void)RidgeClassifier::from_parts({0.5, nan}, 0.1, 1.0);
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos)
@@ -227,18 +227,17 @@ TEST(Ridge, LoadRejectsNonFiniteWeights) {
 }
 
 TEST(Ridge, LoadRejectsNonFiniteBias) {
-  std::istringstream corrupted("ridge.v1 0\nweights 2 0.5 -0.25\nbias inf\n"
-                               "lambda 1\n");
-  EXPECT_THROW(RidgeClassifier::load(corrupted), std::runtime_error);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)RidgeClassifier::from_parts({0.5, -0.25}, inf, 1.0),
+               std::runtime_error);
 }
 
 TEST(Ridge, LoadRejectsBadLambda) {
-  std::istringstream nan_lambda("ridge.v1 0\nweights 1 0.5\nbias 0\n"
-                                "lambda nan\n");
-  EXPECT_THROW(RidgeClassifier::load(nan_lambda), std::runtime_error);
-  std::istringstream negative_lambda("ridge.v1 0\nweights 1 0.5\nbias 0\n"
-                                     "lambda -2\n");
-  EXPECT_THROW(RidgeClassifier::load(negative_lambda), std::runtime_error);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)RidgeClassifier::from_parts({0.5}, 0.0, nan),
+               std::runtime_error);
+  EXPECT_THROW((void)RidgeClassifier::from_parts({0.5}, 0.0, -2.0),
+               std::runtime_error);
 }
 
 TEST(Ridge, ChoosesReasonableLambdaOnNoisyData) {

@@ -1,11 +1,17 @@
-#include "core/serialization.hpp"
-
+// A real enrollment through the P2MDL001 store: every decision and
+// score of the reloaded user must equal the enrolled one bit for bit.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "core/authenticator.hpp"
+#include "io/binary.hpp"
+#include "io/format.hpp"
+#include "io_fixtures.hpp"
 #include "sim/attacks.hpp"
 #include "sim/dataset.hpp"
 #include "util/serialize.hpp"
@@ -57,28 +63,36 @@ const Enrolled& fixture() {
   return instance;
 }
 
+std::string store_bytes(const EnrolledUser& user) {
+  std::ostringstream os;
+  io::save_enrolled_user_binary(user, os);
+  return os.str();
+}
+
+EnrolledUser load_bytes(const std::string& bytes) {
+  std::istringstream is(bytes);
+  return io::load_enrolled_user_binary(is);
+}
+
 TEST(Serialization, WaveformModelRoundTripPreservesDecisions) {
   const Enrolled& f = fixture();
-  std::stringstream ss;
-  save_waveform_model(*f.user.full_model, ss);
-  const WaveformModel restored = load_waveform_model(ss);
+  const EnrolledUser restored_user = load_bytes(store_bytes(f.user));
+  ASSERT_TRUE(restored_user.full_model.has_value());
+  const WaveformModel& restored = *restored_user.full_model;
   // The restored model must produce bit-identical decision values.
   for (const auto& obs : f.probes) {
     const auto pre = preprocess_entry(obs);
     std::size_t first = pre.calibrated_indices.front();
     const auto full =
         extract_full_waveform(pre.filtered, first, pre.rate_hz);
-    EXPECT_DOUBLE_EQ(f.user.full_model->decision(full),
-                     restored.decision(full));
+    EXPECT_EQ(f.user.full_model->decision(full), restored.decision(full));
   }
-  EXPECT_DOUBLE_EQ(restored.threshold(), f.user.full_model->threshold());
+  EXPECT_EQ(restored.threshold(), f.user.full_model->threshold());
 }
 
 TEST(Serialization, EnrolledUserRoundTripPreservesAuthDecisions) {
   const Enrolled& f = fixture();
-  std::stringstream ss;
-  save_enrolled_user(f.user, ss);
-  const EnrolledUser restored = load_enrolled_user(ss);
+  const EnrolledUser restored = load_bytes(store_bytes(f.user));
   EXPECT_EQ(restored.pin, f.user.pin);
   EXPECT_EQ(restored.privacy_boost, f.user.privacy_boost);
   EXPECT_EQ(restored.stats.key_models_trained,
@@ -92,112 +106,81 @@ TEST(Serialization, EnrolledUserRoundTripPreservesAuthDecisions) {
     const AuthResult b = authenticate(restored, obs, auth);
     EXPECT_EQ(a.accepted, b.accepted);
     EXPECT_EQ(a.detected_case, b.detected_case);
-    EXPECT_DOUBLE_EQ(a.waveform_score, b.waveform_score);
+    EXPECT_EQ(a.waveform_score, b.waveform_score);
   }
 }
 
 TEST(Serialization, FileRoundTrip) {
   const Enrolled& f = fixture();
-  const std::string path = "/tmp/p2auth_test_user.model";
-  save_enrolled_user_file(f.user, path);
-  const EnrolledUser restored = load_enrolled_user_file(path);
+  const std::string path = "serialization_user_roundtrip.p2mdl";
+  io::save_enrolled_user_binary_file(f.user, path);
+  const EnrolledUser restored = io::load_enrolled_user_binary_file(path);
   EXPECT_EQ(restored.pin, f.user.pin);
+  EXPECT_EQ(store_bytes(restored), store_bytes(f.user));
   std::remove(path.c_str());
 }
 
 TEST(Serialization, FileErrorsThrow) {
   const Enrolled& f = fixture();
-  EXPECT_THROW(save_enrolled_user_file(f.user, "/no-such-dir/x.model"),
-               std::runtime_error);
-  EXPECT_THROW(load_enrolled_user_file("/no-such-file.model"),
+  EXPECT_THROW(
+      io::save_enrolled_user_binary_file(f.user, "/no-such-dir/x.p2mdl"),
+      std::runtime_error);
+  EXPECT_THROW(io::load_enrolled_user_binary_file("/no-such-file.p2mdl"),
                std::runtime_error);
 }
 
 TEST(Serialization, CorruptedStreamThrows) {
   const Enrolled& f = fixture();
-  std::stringstream ss;
-  save_enrolled_user(f.user, ss);
-  std::string text = ss.str();
+  const std::string bytes = store_bytes(f.user);
   // Truncate in the middle.
-  std::istringstream truncated(text.substr(0, text.size() / 2));
-  EXPECT_THROW(load_enrolled_user(truncated), std::runtime_error);
-  // Corrupt the magic tag.
-  std::string bad = text;
+  EXPECT_THROW(load_bytes(bytes.substr(0, bytes.size() / 2)),
+               std::runtime_error);
+  // Corrupt the magic.
+  std::string bad = bytes;
   bad.replace(0, 6, "broken");
-  std::istringstream wrong(bad);
-  EXPECT_THROW(load_enrolled_user(wrong), std::runtime_error);
+  EXPECT_THROW(load_bytes(bad), std::runtime_error);
 }
 
 TEST(Serialization, NonFiniteValuesInStoreRejectLoudly) {
-  // Flip one stored ridge coefficient to inf: the load must throw
-  // instead of restoring a model whose decision scores are non-finite.
+  // Flip the full model's stored ridge bias to inf and re-stamp the
+  // record's CRC, so the value check (not the checksum) is what must
+  // throw instead of restoring a model whose decision scores are
+  // non-finite.
   const Enrolled& f = fixture();
-  std::stringstream ss;
-  save_waveform_model(*f.user.full_model, ss);
-  std::string text = ss.str();
-  const auto tag = text.find("bias ");
-  ASSERT_NE(tag, std::string::npos);
-  const auto value_start = tag + 5;
-  const auto value_end = text.find('\n', value_start);
-  ASSERT_NE(value_end, std::string::npos);
-  text.replace(value_start, value_end - value_start, "inf");
-  std::istringstream corrupted(text);
-  EXPECT_THROW(load_waveform_model(corrupted), std::runtime_error);
+  std::string bytes = store_bytes(f.user);
+  const std::size_t ridge = bytes.find("RIDG");  // the full model's ridge
+  ASSERT_NE(ridge, std::string::npos);
+  ASSERT_EQ(ridge % 8, 0u);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::memcpy(bytes.data() + ridge + io::kSectionHeaderBytes, &inf,
+              sizeof(inf));
+  testing::restamp_user_crc(bytes);
+  try {
+    (void)load_bytes(bytes);
+    FAIL() << "a non-finite ridge bias loaded";
+  } catch (const util::SerializeError& e) {
+    EXPECT_EQ(e.code(), util::SerializeErrc::kBadValue) << e.what();
+    EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Serialization, UntrainedModelRefusesToSave) {
-  WaveformModel empty;
+  EnrolledUser user;
+  user.pin = keystroke::Pin("1628");
+  user.full_model = WaveformModel{};  // engaged but untrained
   std::stringstream ss;
-  EXPECT_THROW(save_waveform_model(empty, ss), std::logic_error);
+  EXPECT_THROW(io::save_enrolled_user_binary(user, ss), std::logic_error);
 }
 
 TEST(Serialization, LoadedModelRefusesQualityEstimate) {
   // The LOO diagnostics are fit-time-only; a restored model must not
   // silently report a stale/absent quality estimate.
   const Enrolled& f = fixture();
-  std::stringstream ss;
-  save_waveform_model(*f.user.full_model, ss);
-  const WaveformModel restored = load_waveform_model(ss);
-  EXPECT_THROW((void)restored.estimate_quality(), std::logic_error);
-}
-
-TEST(SerializeHelpers, ScalarsRoundTrip) {
-  std::stringstream ss;
-  util::write_u64(ss, "u", 123456789012345ULL);
-  util::write_i64(ss, "i", -42);
-  util::write_double(ss, "d", 3.141592653589793);
-  util::write_bool(ss, "b", true);
-  util::write_string(ss, "s", "hello world");
-  util::write_string(ss, "empty", "");
-  EXPECT_EQ(util::read_u64(ss, "u"), 123456789012345ULL);
-  EXPECT_EQ(util::read_i64(ss, "i"), -42);
-  EXPECT_DOUBLE_EQ(util::read_double(ss, "d"), 3.141592653589793);
-  EXPECT_TRUE(util::read_bool(ss, "b"));
-  EXPECT_EQ(util::read_string(ss, "s"), "hello world");
-  EXPECT_EQ(util::read_string(ss, "empty"), "");
-}
-
-TEST(SerializeHelpers, VectorsRoundTripAtFullPrecision) {
-  std::stringstream ss;
-  const std::vector<double> v = {1.0 / 3.0, -2.718281828459045, 1e-300};
-  util::write_vector(ss, "v", v);
-  const std::vector<int> iv = {1, -2, 3};
-  util::write_int_vector(ss, "iv", iv);
-  const auto rv = util::read_vector(ss, "v");
-  ASSERT_EQ(rv.size(), v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) EXPECT_DOUBLE_EQ(rv[i], v[i]);
-  EXPECT_EQ(util::read_int_vector(ss, "iv"), iv);
-}
-
-TEST(SerializeHelpers, WrongTagThrows) {
-  std::stringstream ss;
-  util::write_u64(ss, "alpha", 1);
-  EXPECT_THROW(util::read_u64(ss, "beta"), std::runtime_error);
-}
-
-TEST(SerializeHelpers, TruncatedValueThrows) {
-  std::istringstream ss("v 5 1.0 2.0");
-  EXPECT_THROW(util::read_vector(ss, "v"), std::runtime_error);
+  const EnrolledUser restored = load_bytes(store_bytes(f.user));
+  ASSERT_TRUE(restored.full_model.has_value());
+  EXPECT_THROW((void)restored.full_model->estimate_quality(),
+               std::logic_error);
 }
 
 }  // namespace

@@ -1,32 +1,25 @@
-// model_convert — migrates model stores between the legacy text format
-// and the binary P2MDL001 format (both directions, users and whole
-// registries), and self-checks the round trip.
+// model_convert — migrates legacy v1 text model stores to P2MDL001 and
+// validates stores of either format.
 //
-//   model_convert <input> <output>   auto-detects the input format/kind
-//                                    and writes the opposite format
-//   model_convert --verify <file>    validates a store (text or binary)
-//                                    and prints a summary
-//   model_convert --self-test        synthetic text->binary->text and
-//                                    mmap round trips; exit 0 iff all
-//                                    byte-identical (the CI smoke step)
+//   model_convert <v1 text> <out.p2mdl>   detects an enrolled user or a
+//                                         registry from the text's version
+//                                         tag and writes it as P2MDL001
+//   model_convert --verify <file>         validates a store (v1 text or
+//                                         P2MDL001) and prints a summary
 //
 // Exit status: 0 on success, 1 on a detected failure, 2 on usage error.
-#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iostream>
-#include <sstream>
+#include <stdexcept>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "core/registry.hpp"
-#include "core/serialization.hpp"
 #include "io/binary.hpp"
 #include "io/format.hpp"
 #include "io/mmap_registry.hpp"
-#include "util/rng.hpp"
-#include "util/serialize.hpp"
+#include "text_v1.hpp"
 
 namespace {
 
@@ -81,41 +74,33 @@ EnrolledUser load_user(const std::string& path, Format format) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open " + path);
   return format == Format::kText
-             ? p2auth::core::load_enrolled_user(in)
+             ? p2auth::text_v1::read_enrolled_user(in)
              : p2auth::io::load_enrolled_user_binary(in);
 }
 
 UserRegistry load_registry(const std::string& path, Format format) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open " + path);
-  return format == Format::kText ? UserRegistry::load(in)
-                                 : p2auth::io::load_user_registry_binary(in);
+  return format == Format::kText
+             ? p2auth::text_v1::read_user_registry(in)
+             : p2auth::io::load_user_registry_binary(in);
 }
 
 int convert(const std::string& input, const std::string& output) {
   const Detected d = detect(input);
-  const Format out_format =
-      d.format == Format::kText ? Format::kBinary : Format::kText;
+  if (d.format != Format::kText) {
+    throw std::runtime_error(input + " is already P2MDL001");
+  }
   if (d.kind == Kind::kUser) {
-    const EnrolledUser user = load_user(input, d.format);
-    if (out_format == Format::kBinary) {
-      p2auth::io::save_enrolled_user_binary_file(user, output);
-    } else {
-      p2auth::core::save_enrolled_user_file(user, output);
-    }
+    p2auth::io::save_enrolled_user_binary_file(load_user(input, d.format),
+                                               output);
   } else {
-    const UserRegistry registry = load_registry(input, d.format);
-    if (out_format == Format::kBinary) {
-      p2auth::io::save_user_registry_binary_file(registry, output);
-    } else {
-      std::ofstream out(output, std::ios::binary | std::ios::trunc);
-      if (!out) throw std::runtime_error("cannot open " + output);
-      registry.save(out);
-    }
+    p2auth::io::save_user_registry_binary_file(
+        load_registry(input, d.format), output);
   }
   std::printf("%s [%s %s] -> %s [%s]\n", input.c_str(),
               format_name(d.format), kind_name(d.kind), output.c_str(),
-              format_name(out_format));
+              format_name(Format::kBinary));
   return 0;
 }
 
@@ -140,149 +125,10 @@ int verify(const std::string& path) {
   return 0;
 }
 
-// ---- self-test --------------------------------------------------------
-
-// A small deterministic trained model assembled directly from parts (no
-// enrollment pipeline, so the self-test runs in milliseconds).
-p2auth::core::WaveformModel make_test_model(p2auth::util::Rng& rng,
-                                            std::size_t n_channels) {
-  std::vector<p2auth::ml::MiniRocket> channels;
-  std::size_t total_features = 0;
-  for (std::size_t c = 0; c < n_channels; ++c) {
-    p2auth::ml::MiniRocketOptions options;
-    options.num_features = 168;
-    options.max_dilations = 2;
-    std::vector<int> dilations = {1, 3};
-    const std::size_t biases_per_combo = 1;
-    std::vector<double> biases(84 * dilations.size() * biases_per_combo);
-    for (double& b : biases) b = rng.normal(0.0, 1.0);
-    channels.push_back(p2auth::ml::MiniRocket::from_parts(
-        options, /*input_length=*/64, std::move(dilations), biases_per_combo,
-        std::move(biases)));
-    total_features += channels.back().num_features();
-  }
-  p2auth::ml::MiniRocketOptions mc_options;
-  mc_options.num_features = 168 * n_channels;
-  mc_options.max_dilations = 2;
-  auto rocket = p2auth::ml::MultiChannelMiniRocket::from_parts(
-      mc_options, std::move(channels));
-  std::vector<double> weights(total_features);
-  for (double& w : weights) w = rng.normal(0.0, 0.1);
-  auto ridge = p2auth::linalg::RidgeClassifier::from_parts(
-      std::move(weights), rng.normal(0.0, 0.5), 1.0);
-  return p2auth::core::WaveformModel::from_parts(
-      std::move(rocket), std::move(ridge), rng.normal(0.0, 0.2));
-}
-
-EnrolledUser make_test_user(p2auth::util::Rng& rng, std::uint32_t id,
-                            const std::string& pin) {
-  EnrolledUser user;
-  user.pin = p2auth::keystroke::Pin(pin);
-  user.privacy_boost = true;
-  user.user_id = id;
-  user.stats.full_positives = 9;
-  user.stats.full_negatives = 30;
-  user.stats.segment_positives = 36;
-  user.stats.segment_negatives = 120;
-  user.stats.key_models_trained = 2;
-  user.full_model = make_test_model(rng, 2);
-  user.boost_model = make_test_model(rng, 2);
-  for (const char digit : pin.substr(0, 2)) {
-    user.key_models[static_cast<std::size_t>(digit - '0')] =
-        make_test_model(rng, 2);
-  }
-  return user;
-}
-
-std::string text_of_user(const EnrolledUser& user) {
-  std::ostringstream os;
-  p2auth::core::save_enrolled_user(user, os);
-  return os.str();
-}
-
-std::string text_of_registry(const UserRegistry& registry) {
-  std::ostringstream os;
-  registry.save(os);
-  return os.str();
-}
-
-int fail_self_test(const char* what) {
-  std::fprintf(stderr, "self-test FAILED: %s\n", what);
-  return 1;
-}
-
-int self_test() {
-  p2auth::util::Rng rng(20260808);
-
-  // User: text -> binary -> text must be byte-identical.
-  const EnrolledUser user = make_test_user(rng, 7, "1628");
-  const std::string text1 = text_of_user(user);
-  std::stringstream bin;
-  p2auth::io::save_enrolled_user_binary(user, bin);
-  const EnrolledUser user2 = p2auth::io::load_enrolled_user_binary(bin);
-  if (text_of_user(user2) != text1) {
-    return fail_self_test("user text->binary->text not byte-identical");
-  }
-
-  // Registry: same, via the eager loader and via the mmap path.
-  UserRegistry registry;
-  registry.add("alice", make_test_user(rng, 1, "1628"));
-  registry.add("bob", make_test_user(rng, 2, "0413"));
-  registry.add("carol", make_test_user(rng, 3, "77"));
-  const std::string reg_text1 = text_of_registry(registry);
-  std::stringstream reg_bin;
-  p2auth::io::save_user_registry_binary(registry, reg_bin);
-  const UserRegistry registry2 =
-      p2auth::io::load_user_registry_binary(reg_bin);
-  if (text_of_registry(registry2) != reg_text1) {
-    return fail_self_test("registry text->binary->text not byte-identical");
-  }
-
-  // File overload must be byte-identical to the ostream overload, and
-  // MappedRegistry must materialize the same users from the file.
-  const std::string path = "model_convert_selftest.p2mdl";
-  p2auth::io::save_user_registry_binary_file(registry, path);
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream file_bytes;
-    file_bytes << in.rdbuf();
-    if (file_bytes.str() != reg_bin.str()) {
-      std::remove(path.c_str());
-      return fail_self_test("file writer differs from stream writer");
-    }
-  }
-  int rc = 0;
-  try {
-    const p2auth::io::MappedRegistry mapped =
-        p2auth::io::MappedRegistry::open(path);
-    mapped.verify_all();
-    if (mapped.size() != registry.size()) {
-      rc = 1;
-      std::fprintf(stderr, "self-test FAILED: mapped size mismatch\n");
-    }
-    UserRegistry rebuilt;
-    for (const std::string_view name : mapped.names()) {
-      rebuilt.add(std::string(name), mapped.materialize(name));
-    }
-    if (rc == 0 && text_of_registry(rebuilt) != reg_text1) {
-      rc = 1;
-      std::fprintf(stderr,
-                   "self-test FAILED: mmap materialization diverges\n");
-    }
-  } catch (const std::exception& e) {
-    rc = 1;
-    std::fprintf(stderr, "self-test FAILED: %s\n", e.what());
-  }
-  std::remove(path.c_str());
-  if (rc == 0) std::printf("self-test OK\n");
-  return rc;
-}
-
 int usage() {
   std::fprintf(stderr,
-               "usage: model_convert <input> <output>\n"
-               "       model_convert --verify <file>\n"
-               "       model_convert --self-test\n");
+               "usage: model_convert <v1 text> <out.p2mdl>\n"
+               "       model_convert --verify <file>\n");
   return 2;
 }
 
@@ -290,9 +136,6 @@ int usage() {
 
 int main(int argc, char** argv) {
   try {
-    if (argc == 2 && std::strcmp(argv[1], "--self-test") == 0) {
-      return self_test();
-    }
     if (argc == 3 && std::strcmp(argv[1], "--verify") == 0) {
       return verify(argv[2]);
     }
