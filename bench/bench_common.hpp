@@ -12,7 +12,6 @@
 #include "core/evaluation.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -74,8 +73,9 @@ class BenchReport {
     shards_ = shards;
   }
 
-  // Attaches the current metrics + span aggregates and writes
-  // BENCH_<name>.json into the working directory (next to the CSVs).
+  // Attaches the current metrics (one histogram per span among them) and
+  // writes BENCH_<name>.json into the working directory (next to the
+  // CSVs).
   void write() {
     // Thread count the pool-backed stages ran with, so BENCH json from
     // different machines / P2AUTH_THREADS settings stay comparable.
@@ -90,7 +90,6 @@ class BenchReport {
     // different ISAs (or forced P2AUTH_BACKEND runs) stay attributable.
     report_.set("backend", std::string(backend::kernels().name));
     report_.attach_metrics(obs::snapshot_metrics());
-    report_.attach_span_summary(obs::snapshot_trace());
     const std::string path = "BENCH_" + report_.name() + ".json";
     report_.write_file(path);
     std::printf("\njson report written to %s\n", path.c_str());

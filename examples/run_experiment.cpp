@@ -16,7 +16,7 @@
 //
 // Prints per-user and mean accuracy / TRR for the configuration, i.e. a
 // custom row of the paper's Fig. 10-style tables.  A machine-readable
-// run report (results + per-stage span timings + pipeline metrics) is
+// run report (results + pipeline metrics, one histogram per span) is
 // written to --report (default run_experiment_report.json); --trace
 // additionally dumps the full span timeline in Chrome trace-event format
 // (load it in chrome://tracing or https://ui.perfetto.dev).
@@ -220,8 +220,8 @@ int main(int argc, char** argv) {
       .cell(100.0 * result.mean_trr_emulating(), 1);
   table.print(std::cout, "Results (%)");
 
-  // Structured run report: configuration, headline results, per-stage
-  // span aggregates and pipeline metrics collected during the run.
+  // Structured run report: configuration, headline results and the
+  // pipeline metrics collected during the run (one histogram per span).
   obs::Report report("run_experiment");
   obs::Json config = obs::Json::object();
   config.set("users", static_cast<std::uint64_t>(cfg.population.num_users));
@@ -256,7 +256,6 @@ int main(int argc, char** argv) {
     }
   }
   report.attach_metrics(obs::snapshot_metrics());
-  report.attach_span_summary(obs::snapshot_trace());
   if (!prometheus_path.empty()) {
     std::ofstream prom(prometheus_path);
     if (!prom) {

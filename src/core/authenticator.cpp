@@ -114,14 +114,10 @@ PreparedAuth prepare_impl(const EnrolledUser& user,
   result.detected_case = pre.detected_case;
   // Channel-health view for the flight recorder: bit c set = channel c
   // survived gating.
-  if (!pre.health.channels.empty()) {
-    result.channels_assessed = static_cast<std::uint8_t>(
-        std::min<std::size_t>(pre.health.channels.size(), 32));
-    for (std::size_t c = 0; c < result.channels_assessed; ++c) {
-      if (pre.health.channels[c].usable) {
-        result.channel_mask |= (1u << c);
-      }
-    }
+  result.channels_assessed = static_cast<std::uint8_t>(
+      std::min<std::size_t>(pre.health.channels.size(), 32));
+  for (std::size_t c = 0; c < result.channels_assessed; ++c) {
+    if (pre.health.channels[c].usable) result.channel_mask |= (1u << c);
   }
   if (timed) {
     result.latencies.preprocess_us =
@@ -143,7 +139,7 @@ PreparedAuth prepare_impl(const EnrolledUser& user,
   // strict policy the biometric factor refuses to vouch on partial
   // evidence — degradation costs legitimate acceptance, never buys an
   // attacker's.
-  if (!options.allow_degraded_evidence && !pre.health.channels.empty() &&
+  if (!options.allow_degraded_evidence &&
       pre.health.usable_count() < pre.health.channels.size()) {
     obs::add_counter("auth.degraded_evidence");
     result.reason = RejectReason::kDegradedEvidence;
@@ -362,7 +358,6 @@ AuthResult authenticate(const EnrolledUser& user,
                         const Observation& observation,
                         const AuthOptions& options) {
   const obs::Span span("authenticate", "core");
-  const obs::ScopedLatency latency("auth.latency_us");
   // Stage timing is paid only when someone will consume it: the obs
   // runtime switch or an installed flight recorder.
   const bool timed = obs::enabled() || obs::audit_recorder() != nullptr;

@@ -39,11 +39,9 @@ struct PreprocessOptions {
   // healthiest surviving channel substitutes (PreprocessedEntry reports
   // which channel was actually used).
   std::size_t reference_channel = 0;
-  // Degraded-sensor resilience: score every channel's health and mask
-  // unusable ones (zeroed, never filtered) instead of aborting the whole
-  // attempt.  With gating off the legacy strict contract applies: any
-  // non-finite sample throws std::invalid_argument.
-  bool gate_channels = true;
+  // Channel-health gating (degraded-sensor resilience): every channel's
+  // health is scored and unusable ones are masked (zeroed, never
+  // filtered) instead of aborting the whole attempt.
   QualityOptions quality{};
 };
 
@@ -63,7 +61,7 @@ struct PreprocessedEntry {
   // the watch-wearing hand?
   std::vector<bool> keystroke_present;
   DetectedCase detected_case = DetectedCase::kRejected;
-  // Channel-health gating outcome (empty when gate_channels was off).
+  // Channel-health gating outcome, one entry per channel.
   ChannelHealth health;
   // Reference channel actually used after gating (== the configured one
   // unless it was masked).
@@ -71,16 +69,14 @@ struct PreprocessedEntry {
 
   // True when gating masked every channel: the entry was rejected before
   // filtering and only `health` is meaningful.
-  bool no_usable_channel() const noexcept {
-    return !health.channels.empty() && !health.any_usable();
-  }
+  bool no_usable_channel() const noexcept { return !health.any_usable(); }
 };
 
 // Runs the full preprocessing stage on one observation.  Throws
 // std::invalid_argument on empty traces, ragged channels or a missing
-// reference channel; with gating disabled also on non-finite samples.
-// With gating enabled a fully masked trace returns detected_case ==
-// kRejected with no_usable_channel() set instead of throwing.
+// reference channel.  Non-finite samples never throw: gating masks the
+// channels that carry them, and a fully masked trace returns
+// detected_case == kRejected with no_usable_channel() set.
 PreprocessedEntry preprocess_entry(const Observation& observation,
                                    const PreprocessOptions& options = {});
 

@@ -210,7 +210,6 @@ AuthResult StreamingAuthenticator::finish_attempt(AuthResult result) {
 
 std::optional<AuthResult> StreamingAuthenticator::poll() {
   if (!attempt_active()) return std::nullopt;
-  const obs::ScopedLatency latency("streaming.poll_us");
   obs::set_gauge("streaming.buffer_samples",
                  static_cast<double>(trace_.length()));
 

@@ -103,7 +103,7 @@ void RidgeClassifier::fit(const Matrix& x, std::span<const double> y,
   try {
     util::parallel_for(options.lambdas.size(), /*chunk=*/1, [&](std::size_t g) {
       obs::add_counter("ridge.lambda_iterations");
-      const obs::ScopedLatency iteration("ridge.lambda_iteration_us");
+      const obs::Span iteration("ridge.lambda_iteration", "linalg");
       Matrix shifted = k;
       shifted.add_scaled_identity(options.lambdas[g]);
       // alpha = (K + lambda I)^{-1} y.  LOO residuals: e_i = alpha_i /

@@ -658,7 +658,6 @@ void MiniRocket::transform_batch_into(std::span<const Series* const> batch,
 linalg::Matrix MiniRocket::transform_batch(std::span<const Series> batch,
                                            std::size_t max_threads) const {
   const obs::Span span("minirocket.transform_batch", "ml");
-  const obs::ScopedLatency latency("minirocket.batch_us");
   obs::add_counter("minirocket.transforms", batch.size());
   linalg::Matrix out(batch.size(), num_features());
   std::vector<const Series*> ptrs(batch.size());
@@ -779,7 +778,6 @@ linalg::Matrix MultiChannelMiniRocket::transform(
     throw std::logic_error("MultiChannelMiniRocket::transform: not fitted");
   }
   const obs::Span span("minirocket.transform_batch", "ml");
-  const obs::ScopedLatency latency("minirocket.batch_us");
   obs::add_counter("minirocket.transforms", batch.size());
   for (const auto& sample : batch) {
     if (sample.size() != per_channel_.size()) {

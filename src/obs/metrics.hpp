@@ -1,14 +1,13 @@
 // Metrics: named counters, gauges, and fixed-bucket latency histograms
-// with p50/p95/p99 readout.
+// with p50/p95/p99 readout.  Every obs::Span also feeds the histogram
+// named after it (obs/trace.hpp).
 //
 // Hot-path cost model: every record call is guarded by obs::enabled()
 // (one relaxed atomic load; a compile-time constant when the build is
-// compiled out) and then touches only a thread-local sink — plain
-// increments, no locks, no atomics.  Sinks are merged into a global
-// aggregate when a thread exits or calls `flush_thread_metrics()`;
-// `snapshot_metrics()` merges the global aggregate with the calling
-// thread's sink, so single-threaded programs and programs that join
-// their workers before reading always see complete totals.
+// compiled out) and then takes only the calling thread's own sink lock
+// (obs/sink.cpp), which is uncontended except while a snapshot reads
+// that sink.  `snapshot_metrics()` walks every thread's sink plus the
+// totals of threads that have exited, so it sees running threads live.
 #pragma once
 
 #include <array>
@@ -67,32 +66,11 @@ struct MetricsSnapshot {
   std::uint64_t counter(const std::string& name) const noexcept;
 };
 
-// Merged view of the global aggregate plus the calling thread's sink.
+// Merged view of every thread's records, live and exited.
 MetricsSnapshot snapshot_metrics();
 
-// Folds the calling thread's sink into the global aggregate (automatic
-// at thread exit).
-void flush_thread_metrics();
-
-// Clears the global aggregate and the calling thread's sink.  Other
-// threads must be quiescent (joined or silent), as with reset_trace().
+// Clears every thread's counters, gauges and histograms.  Span events
+// are untouched (see reset_trace()).
 void reset_metrics();
-
-// RAII latency timer: records the scope's wall time into histogram
-// `name` on destruction.  Inert when observability is disabled at
-// construction.
-class ScopedLatency {
- public:
-  explicit ScopedLatency(std::string_view histogram);
-  ~ScopedLatency();
-
-  ScopedLatency(const ScopedLatency&) = delete;
-  ScopedLatency& operator=(const ScopedLatency&) = delete;
-
- private:
-  bool active_ = false;
-  std::string name_;
-  std::int64_t start_us_ = 0;
-};
 
 }  // namespace p2auth::obs

@@ -8,23 +8,6 @@
 
 namespace p2auth::obs {
 
-std::map<std::string, SpanSummary> summarize_spans(
-    const std::vector<SpanEvent>& events) {
-  std::map<std::string, SpanSummary> out;
-  for (const SpanEvent& e : events) {
-    SpanSummary& s = out[e.name];
-    if (s.count == 0) {
-      s.min_us = s.max_us = e.duration_us;
-    } else {
-      s.min_us = std::min(s.min_us, e.duration_us);
-      s.max_us = std::max(s.max_us, e.duration_us);
-    }
-    ++s.count;
-    s.total_us += e.duration_us;
-  }
-  return out;
-}
-
 Report::Report(std::string name)
     : name_(std::move(name)), root_(Json::object()) {
   root_.set("schema", "p2auth.report.v1");
@@ -85,24 +68,6 @@ Report& Report::attach_metrics(const MetricsSnapshot& metrics) {
   }
   doc.set("histograms", std::move(histograms));
   root_.set("metrics", std::move(doc));
-  return *this;
-}
-
-Report& Report::attach_span_summary(const std::vector<SpanEvent>& events) {
-  Json doc = Json::object();
-  for (const auto& [name, s] : summarize_spans(events)) {
-    Json entry = Json::object();
-    entry.set("count", s.count);
-    entry.set("total_us", s.total_us);
-    entry.set("mean_us", s.count == 0
-                             ? 0.0
-                             : static_cast<double>(s.total_us) /
-                                   static_cast<double>(s.count));
-    entry.set("min_us", s.min_us);
-    entry.set("max_us", s.max_us);
-    doc.set(name, std::move(entry));
-  }
-  root_.set("spans", std::move(doc));
   return *this;
 }
 

@@ -8,8 +8,7 @@
 //     "name": "<report name>",
 //     "values": { ... },            // set()
 //     "tables": { ... },            // add_table()
-//     "metrics": { ... },           // attach_metrics()
-//     "spans": { ... }              // attach_span_summary()
+//     "metrics": { ... }            // attach_metrics()
 //   }
 //
 // Sections appear only when populated; everything is deterministic given
@@ -22,25 +21,12 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace p2auth::util {
 class Table;
 }  // namespace p2auth::util
 
 namespace p2auth::obs {
-
-// Per-name aggregate of span events (the report form of a trace).
-struct SpanSummary {
-  std::uint64_t count = 0;
-  std::int64_t total_us = 0;
-  std::int64_t min_us = 0;
-  std::int64_t max_us = 0;
-};
-
-// Aggregates events by span name (deterministic: sorted by name).
-std::map<std::string, SpanSummary> summarize_spans(
-    const std::vector<SpanEvent>& events);
 
 class Report {
  public:
@@ -60,12 +46,9 @@ class Report {
   Report& add_table(const std::string& key, const util::Table& table);
 
   // Embeds a metrics snapshot: counters and gauges verbatim, histograms
-  // as {count, mean_us, min_us, max_us, p50_us, p95_us, p99_us}.
+  // (every span's among them) as {count, mean_us, min_us, max_us,
+  // p50_us, p95_us, p99_us}.
   Report& attach_metrics(const MetricsSnapshot& metrics);
-
-  // Embeds per-name span aggregates {count, total_us, mean_us, min_us,
-  // max_us}.
-  Report& attach_span_summary(const std::vector<SpanEvent>& events);
 
   void write(std::ostream& os) const;
   // Throws std::runtime_error on I/O failure.

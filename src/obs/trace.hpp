@@ -1,23 +1,21 @@
-// Lightweight tracing: RAII scoped spans with nesting, buffered in
-// per-thread logs (no locks on the record path) and merged at flush into
-// a process-wide event list that exports to the Chrome trace-event JSON
-// format (open chrome://tracing or https://ui.perfetto.dev and load the
-// file).
+// Lightweight tracing: RAII scoped spans with nesting, recorded into the
+// calling thread's telemetry sink (obs/sink.cpp, shared with
+// obs/metrics.hpp) and exported to the Chrome trace-event JSON format
+// (open chrome://tracing or https://ui.perfetto.dev and load the file).
 //
-// Threading model: each thread appends completed spans to its own
-// buffer; the buffer is folded into the global list when the thread
-// exits or calls `flush_thread_trace()`.  `snapshot_trace()` sees the
-// global list plus the calling thread's buffer, so a single-threaded
-// program (and any program that joins its workers first) always gets a
-// complete trace without synchronisation on the hot path.
+// Each span records its duration twice over: once as an observation of
+// the histogram named after it (see obs/metrics.hpp), always, and once
+// as a Chrome-trace event while the event budget below allows.
+//
+// Threading model: each thread records into its own sink under that
+// sink's lock.  `snapshot_trace()` walks every thread's sink plus the
+// events of threads that have exited, so it sees running threads live.
 //
 // Memory bound: the whole process retains at most `kMaxRetainedSpans`
-// events, counted across the global list and every thread's buffer.  A
-// span completing past the cap is dropped and counted in
-// `dropped_span_count()`; `reset_trace()` discards the retained events
-// and returns their slots to the budget.  Pool workers flush after every
-// job, so without the shared cap a long-running process would grow the
-// global list without limit.
+// events.  A span completing past the cap still feeds its histogram, but
+// its event is dropped and counted in `dropped_span_count()`;
+// `reset_trace()` discards the retained events and returns their slots
+// to the budget.
 #pragma once
 
 #include <cstddef>
@@ -31,13 +29,14 @@
 
 namespace p2auth::obs {
 
-// Process-wide cap on retained span events (about 6 MiB of events).
+// Process-wide cap on retained span events (3.5 MiB of events).
 inline constexpr std::size_t kMaxRetainedSpans = std::size_t{1} << 16;
 
 // One completed span on the shared monotonic timeline (obs::now_us).
+// Name and category view the strings the Span was built from.
 struct SpanEvent {
-  std::string name;
-  std::string category;
+  std::string_view name;
+  std::string_view category;
   std::int64_t start_us = 0;
   std::int64_t duration_us = 0;
   std::uint32_t thread_id = 0;  // dense obs-assigned id (1 = first thread)
@@ -45,10 +44,12 @@ struct SpanEvent {
 };
 
 // RAII scoped span.  Construction samples the clock and pushes one
-// nesting level; destruction records the completed event into the
-// calling thread's buffer.  When observability is disabled at
-// construction the span is inert (and stays inert even if recording is
-// re-enabled before destruction, so depths always balance).
+// nesting level; destruction records the duration into histogram `name`
+// and the completed event into the calling thread's sink.  `name` and
+// `category` must have static storage (string literals): events keep
+// views of them for the life of the process.  When observability is
+// disabled at construction the span is inert (and stays inert even if
+// recording is re-enabled before destruction, so depths always balance).
 class Span {
  public:
   explicit Span(std::string_view name, std::string_view category = "p2auth");
@@ -61,19 +62,15 @@ class Span {
 
  private:
   bool active_ = false;
-  std::string name_;
-  std::string category_;
+  std::string_view name_;
+  std::string_view category_;
   std::int64_t start_us_ = 0;
 };
 
 // Nesting depth of the calling thread (number of live active spans).
 std::uint32_t current_span_depth() noexcept;
 
-// Folds the calling thread's buffered events into the global list.
-// Called automatically at thread exit.
-void flush_thread_trace();
-
-// All flushed events plus the calling thread's buffer, sorted by
+// Every retained event, from live and exited threads alike, sorted by
 // (start_us, thread_id, duration descending) so a parent precedes its
 // children.  Does not clear anything.
 std::vector<SpanEvent> snapshot_trace();
@@ -82,11 +79,9 @@ std::vector<SpanEvent> snapshot_trace();
 // (since the last reset_trace()).
 std::uint64_t dropped_span_count() noexcept;
 
-// Clears the global list and the calling thread's buffer, returning
-// their slots to the process-wide budget, and zeroes the drop count.
-// Threads still recording concurrently are unaffected (their later
-// flushes append to the fresh list, and their buffered events keep
-// their slots until a later reset discards them).
+// Discards every retained event, returning the slots to the
+// process-wide budget, and zeroes the drop count.  Histograms are
+// untouched (see reset_metrics()).
 void reset_trace();
 
 // Chrome trace-event JSON ("X" complete events, timestamps in us).

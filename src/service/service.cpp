@@ -107,7 +107,6 @@ struct AuthService::Impl {
 
   void worker_loop() {
     while (std::optional<Pending> pending = queue.pop()) decide(*pending);
-    obs::flush_thread_metrics();
   }
 
   void decide(Pending& pending);

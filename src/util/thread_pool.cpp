@@ -10,7 +10,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
-#include "obs/trace.hpp"
 
 namespace p2auth::util {
 
@@ -162,10 +161,6 @@ void ThreadPool::worker_loop() {
     ++job.active;
     lock.unlock();
     run_chunks(job);
-    // Long-lived workers never hit the thread-exit metric/trace merge,
-    // so publish this job's telemetry before going back to sleep.
-    obs::flush_thread_metrics();
-    obs::flush_thread_trace();
     lock.lock();
     if (--job.active == 0) job_done_.notify_all();
   }

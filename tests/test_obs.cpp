@@ -1,4 +1,6 @@
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,8 +76,8 @@ TEST_F(ObsTest, ResetClearsTrace) {
   EXPECT_TRUE(snapshot_trace().empty());
 }
 
-// Pool workers flush their span buffers into the global list after
-// every job.  However many jobs record spans, the process retains at most
+// Pool workers are long-lived, and their sinks keep every event they
+// record.  However many jobs record spans, the process retains at most
 // kMaxRetainedSpans events; the excess is counted as dropped, and
 // reset_trace() returns the budget for new spans.
 TEST_F(ObsTest, PoolJobsStayWithinSpanCap) {
@@ -246,13 +248,48 @@ TEST_F(ObsTest, ObservationAtBucketBoundaryLandsInLowerBucket) {
   EXPECT_EQ(h.buckets[5], 0u);
 }
 
-TEST_F(ObsTest, ScopedLatencyRecordsOneObservation) {
-  { const ScopedLatency timer("scoped.latency_us"); }
+TEST_F(ObsTest, SpanRecordsOneHistogramObservation) {
+  { const Span span("scoped.span", "test"); }
   const MetricsSnapshot snapshot = snapshot_metrics();
-  ASSERT_EQ(snapshot.histograms.count("scoped.latency_us"), 1u);
-  const HistogramSnapshot& h = snapshot.histograms.at("scoped.latency_us");
+  ASSERT_EQ(snapshot.histograms.count("scoped.span"), 1u);
+  const HistogramSnapshot& h = snapshot.histograms.at("scoped.span");
   EXPECT_EQ(h.count, 1u);
   EXPECT_GE(h.min_us, 0.0);
+}
+
+// A running thread's records are visible to a snapshot: nothing waits
+// for a flush or for the thread to exit.
+TEST_F(ObsTest, SnapshotSeesRunningThreads) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool recorded = false;
+  bool release = false;
+  std::thread worker([&] {
+    add_counter("live.counter", 3);
+    { const Span span("live.span", "test"); }
+    std::unique_lock<std::mutex> lock(mu);
+    recorded = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return recorded; });
+  }
+  const MetricsSnapshot metrics = snapshot_metrics();
+  const std::vector<SpanEvent> events = snapshot_trace();
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  worker.join();
+
+  EXPECT_EQ(metrics.counter("live.counter"), 3u);
+  ASSERT_EQ(metrics.histograms.count("live.span"), 1u);
+  EXPECT_EQ(metrics.histograms.at("live.span").count, 1u);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "live.span");
 }
 
 TEST_F(ObsTest, GaugeLastSetWins) {
@@ -271,7 +308,6 @@ TEST_F(ObsTest, RuntimeDisabledRecordsNothing) {
     const Span span("quiet.span", "test");
     EXPECT_FALSE(span.active());
     EXPECT_EQ(current_span_depth(), 0u);
-    const ScopedLatency timer("quiet.latency_us");
     add_counter("quiet.counter");
     set_gauge("quiet.gauge", 1.0);
     observe_latency_us("quiet.histogram", 5.0);
@@ -383,21 +419,6 @@ TEST(ObsReport, GoldenEnvelopeWithTable) {
             "\"rows\":[[\"x\",\"1.5\"]]}}}\n");
 }
 
-TEST(ObsReport, SpanSummaryAggregatesByName) {
-  std::vector<SpanEvent> events(3);
-  events[0] = {"a", "c", 0, 10, 1, 0};
-  events[1] = {"a", "c", 5, 30, 1, 0};
-  events[2] = {"b", "c", 1, 7, 1, 0};
-  const std::map<std::string, SpanSummary> summary =
-      summarize_spans(events);
-  ASSERT_EQ(summary.size(), 2u);
-  EXPECT_EQ(summary.at("a").count, 2u);
-  EXPECT_EQ(summary.at("a").total_us, 40);
-  EXPECT_EQ(summary.at("a").min_us, 10);
-  EXPECT_EQ(summary.at("a").max_us, 30);
-  EXPECT_EQ(summary.at("b").count, 1u);
-}
-
 TEST_F(ObsTest, ReportAttachesMetricsAndSpans) {
   add_counter("pipeline.runs", 2);
   observe_latency_us("pipeline.latency_us", 100.0);
@@ -406,7 +427,6 @@ TEST_F(ObsTest, ReportAttachesMetricsAndSpans) {
 
   Report report("attach");
   report.attach_metrics(snapshot_metrics());
-  report.attach_span_summary(snapshot_trace());
   const std::string json = report.to_json(0);
   EXPECT_NE(json.find("\"pipeline.runs\":2"), std::string::npos);
   EXPECT_NE(json.find("\"pipeline.depth\":7"), std::string::npos);

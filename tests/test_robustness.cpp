@@ -86,20 +86,6 @@ TEST(Robustness, NanChannelMaskedAndAttemptStillDecides) {
   });
 }
 
-TEST(Robustness, NanSamplesRejectedLoudlyWithGatingOff) {
-  // The legacy strict contract survives as the gate_channels=false
-  // ablation: corrupted streams must never silently reach the classifier.
-  Observation obs = fixture().fresh_entry(1);
-  obs.trace.channels[0][100] = std::numeric_limits<double>::quiet_NaN();
-  PreprocessOptions strict;
-  strict.gate_channels = false;
-  EXPECT_THROW(preprocess_entry(obs, strict), std::invalid_argument);
-  AuthOptions auth_options;
-  auth_options.preprocess.gate_channels = false;
-  EXPECT_THROW(authenticate(fixture().user, obs, auth_options),
-               std::invalid_argument);
-}
-
 TEST(Robustness, InfinityChannelMaskedAndAttemptStillDecides) {
   Observation obs = fixture().fresh_entry(2);
   obs.trace.channels[2][50] = std::numeric_limits<double>::infinity();

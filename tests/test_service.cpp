@@ -26,6 +26,8 @@
 #include "core/registry.hpp"
 #include "io/binary.hpp"
 #include "io/format.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "service/checksum.hpp"
 #include "service/lru.hpp"
 #include "service/queue.hpp"
@@ -368,6 +370,35 @@ TEST(Service, DecisionsMatchSerialAuthentication) {
   }
   svc.stop();
   EXPECT_EQ(svc.stats().completed, 6u);
+}
+
+// Workers' telemetry is readable while the service runs: a snapshot
+// taken before stop() counts every decided request.
+TEST(Service, LiveMetricsCountWorkerDecisions) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const Enrolled& f = fixture();
+  auto source = aliased_source(2);
+  ServiceOptions options;
+  options.workers = 2;
+  AuthService svc(std::shared_ptr<ModelSource>(source), options);
+  std::vector<AuthRequest> requests;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    requests.push_back(named_request(i, "user" + std::to_string(i % 2)));
+    requests.back().observation = f.fresh_observation(80 + i, i % 4 == 3);
+  }
+  obs::reset_metrics();
+  std::vector<std::future<AuthResponse>> futures;
+  for (AuthRequest& request : requests) {
+    futures.push_back(svc.submit(std::move(request)));
+  }
+  for (std::future<AuthResponse>& future : futures) future.wait();
+  const obs::MetricsSnapshot live = obs::snapshot_metrics();
+  svc.stop();
+
+  EXPECT_EQ(live.counter("service.completed"), 8u);
+  EXPECT_EQ(live.counter("auth.attempts"), 8u);
+  ASSERT_EQ(live.histograms.count("authenticate"), 1u);
+  EXPECT_EQ(live.histograms.at("authenticate").count, 8u);
 }
 
 // A 1-deep LRU under alternating users must evict on every switch and

@@ -7,10 +7,15 @@
 //   model_convert --verify <file>         validates a store (v1 text or
 //                                         P2MDL001) and prints a summary
 //
+// The input is read into memory once, so a pipe (/dev/stdin) works as
+// well as a file.
+//
 // Exit status: 0 on success, 1 on a detected failure, 2 on usage error.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -18,7 +23,6 @@
 #include "core/registry.hpp"
 #include "io/binary.hpp"
 #include "io/format.hpp"
-#include "io/mmap_registry.hpp"
 #include "text_v1.hpp"
 
 namespace {
@@ -29,38 +33,38 @@ using p2auth::core::UserRegistry;
 enum class Format { kText, kBinary };
 enum class Kind { kUser, kRegistry };
 
-struct Detected {
-  Format format;
-  Kind kind;
+// A whole input store plus the format and kind sniffed from its first
+// bytes: binary files open with the P2MDL001 magic (kind is in the
+// header); text files carry their version tag within the first line.
+struct Store {
+  std::string bytes;
+  Format format = Format::kText;
+  Kind kind = Kind::kUser;
 };
 
-// Sniffs the store format and kind from the first bytes of the file:
-// binary files open with the P2MDL001 magic (kind is in the header);
-// text files carry their version tag within the first line.
-Detected detect(const std::string& path) {
+Store read_store(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open " + path);
-  }
-  char head[64] = {};
-  in.read(head, sizeof(head) - 1);
-  const std::string_view view(head, static_cast<std::size_t>(in.gcount()));
-  if (view.substr(0, 8) ==
+  if (!in) throw std::runtime_error("cannot open " + path);
+  Store store;
+  store.bytes.assign(std::istreambuf_iterator<char>(in), {});
+  const std::string_view head = std::string_view(store.bytes).substr(0, 63);
+  if (head.substr(0, 8) ==
       std::string_view(p2auth::io::kMagic, sizeof(p2auth::io::kMagic))) {
-    in.clear();
-    in.seekg(0);
-    const p2auth::io::FileKind kind = p2auth::io::probe_file_kind(in);
-    return {Format::kBinary, kind == p2auth::io::FileKind::kUserRegistry
-                                 ? Kind::kRegistry
-                                 : Kind::kUser};
+    std::istringstream header(
+        store.bytes.substr(0, p2auth::io::kFileHeaderBytes));
+    store.format = Format::kBinary;
+    store.kind = p2auth::io::probe_file_kind(header) ==
+                         p2auth::io::FileKind::kUserRegistry
+                     ? Kind::kRegistry
+                     : Kind::kUser;
+  } else if (head.find("p2auth-enrolled-user.v1") != std::string_view::npos) {
+    store.kind = Kind::kUser;
+  } else if (head.find("p2auth-registry.v1") != std::string_view::npos) {
+    store.kind = Kind::kRegistry;
+  } else {
+    throw std::runtime_error(path + ": not a recognized model store");
   }
-  if (view.find("p2auth-enrolled-user.v1") != std::string_view::npos) {
-    return {Format::kText, Kind::kUser};
-  }
-  if (view.find("p2auth-registry.v1") != std::string_view::npos) {
-    return {Format::kText, Kind::kRegistry};
-  }
-  throw std::runtime_error(path + ": not a recognized model store");
+  return store;
 }
 
 const char* format_name(Format f) {
@@ -70,57 +74,47 @@ const char* kind_name(Kind k) {
   return k == Kind::kUser ? "enrolled-user" : "registry";
 }
 
-EnrolledUser load_user(const std::string& path, Format format) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return format == Format::kText
+// The eager loaders CRC-check every record (and a registry's index).
+EnrolledUser load_user(const Store& store) {
+  std::istringstream in(store.bytes);
+  return store.format == Format::kText
              ? p2auth::text_v1::read_enrolled_user(in)
              : p2auth::io::load_enrolled_user_binary(in);
 }
 
-UserRegistry load_registry(const std::string& path, Format format) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return format == Format::kText
+UserRegistry load_registry(const Store& store) {
+  std::istringstream in(store.bytes);
+  return store.format == Format::kText
              ? p2auth::text_v1::read_user_registry(in)
              : p2auth::io::load_user_registry_binary(in);
 }
 
 int convert(const std::string& input, const std::string& output) {
-  const Detected d = detect(input);
-  if (d.format != Format::kText) {
+  const Store store = read_store(input);
+  if (store.format != Format::kText) {
     throw std::runtime_error(input + " is already P2MDL001");
   }
-  if (d.kind == Kind::kUser) {
-    p2auth::io::save_enrolled_user_binary_file(load_user(input, d.format),
-                                               output);
+  if (store.kind == Kind::kUser) {
+    p2auth::io::save_enrolled_user_binary_file(load_user(store), output);
   } else {
-    p2auth::io::save_user_registry_binary_file(
-        load_registry(input, d.format), output);
+    p2auth::io::save_user_registry_binary_file(load_registry(store), output);
   }
   std::printf("%s [%s %s] -> %s [%s]\n", input.c_str(),
-              format_name(d.format), kind_name(d.kind), output.c_str(),
-              format_name(Format::kBinary));
+              format_name(store.format), kind_name(store.kind),
+              output.c_str(), format_name(Format::kBinary));
   return 0;
 }
 
 int verify(const std::string& path) {
-  const Detected d = detect(path);
-  std::size_t users = 0;
-  if (d.kind == Kind::kUser) {
-    (void)load_user(path, d.format);
-    users = 1;
-  } else if (d.format == Format::kBinary) {
-    // The mmap path exercises the lazy-CRC plumbing end to end.
-    const p2auth::io::MappedRegistry reg =
-        p2auth::io::MappedRegistry::open(path);
-    reg.verify_all();
-    users = reg.size();
+  const Store store = read_store(path);
+  std::size_t users = 1;
+  if (store.kind == Kind::kUser) {
+    (void)load_user(store);
   } else {
-    users = load_registry(path, d.format).size();
+    users = load_registry(store).size();
   }
   std::printf("%s: OK [%s %s, %zu user%s]\n", path.c_str(),
-              format_name(d.format), kind_name(d.kind), users,
+              format_name(store.format), kind_name(store.kind), users,
               users == 1 ? "" : "s");
   return 0;
 }
