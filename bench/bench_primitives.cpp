@@ -21,6 +21,7 @@
 #include "bench_common.hpp"
 #include "linalg/ridge.hpp"
 #include "ml/minirocket.hpp"
+#include "minirocket_reference.hpp"
 #include "signal/detrend.hpp"
 #include "signal/dtw.hpp"
 #include "signal/energy.hpp"
