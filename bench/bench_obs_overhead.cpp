@@ -4,10 +4,15 @@
 // Measures the same authenticate() workload in two configurations —
 // telemetry fully off (runtime switch disabled, no recorder installed)
 // and fully on (metrics enabled + audit recorder draining to disk) — in
-// interleaved blocks, taking the best block per mode so scheduler noise
-// cancels instead of accumulating.  Exits nonzero when the measured
-// overhead exceeds the budget, and emits a gated throughput ratio for
-// the CI baseline (bench/baselines/obs_overhead_baseline.json).
+// interleaved block pairs, one block per mode back to back, and takes
+// the median over the pairs of each pair's on/off time ratio.  A pair's
+// two blocks see the same host load, so its ratio cancels the load, and
+// the median discards the pairs a scheduler hiccup split.  (The best
+// block per mode compares two unrelated moments and swings past the
+// budget on a shared host.)  Exits nonzero when the measured overhead
+// exceeds the budget, and emits a gated throughput ratio for the CI
+// baseline (bench/baselines/obs_overhead_baseline.json).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -30,6 +35,13 @@ namespace {
 constexpr double kOverheadBudget = 0.05;  // 5% of baseline latency
 
 // One timed pass over all observations (seconds).
+// The median of an odd-sized sample, so it is one of its values.
+double median(std::vector<double> values) {
+  const auto mid = values.begin() + static_cast<long>(values.size() / 2);
+  std::nth_element(values.begin(), mid, values.end());
+  return *mid;
+}
+
 double block_s(const core::EnrolledUser& user,
                const std::vector<core::Observation>& observations,
                std::uint64_t& accepted) {
@@ -52,7 +64,9 @@ int main(int argc, char** argv) {
 
   bench::BenchReport report("obs_overhead");
   const int trials = quick ? 12 : 48;
-  const int blocks = quick ? 5 : 9;
+  // Odd, so the median ratio is one pair's and its inverse is the median
+  // off/on ratio.
+  const int pairs = quick ? 31 : 63;
 
   // One enrolled user and a fixed observation set reused by both modes.
   sim::PopulationConfig population_cfg;
@@ -93,24 +107,24 @@ int main(int argc, char** argv) {
   // Warm the thread-local MiniRocket scratch outside the timed region.
   (void)core::authenticate(user, observations.front());
 
-  // Interleave off/on blocks so clock-frequency drift and scheduler
-  // noise hit both modes alike; the best block per mode is the estimate.
+  // Interleave off/on blocks in pairs so clock-frequency drift and
+  // scheduler noise hit both modes of a pair alike; the median of the
+  // per-pair on/off ratios is the estimate.
   const std::string log_path = "bench_obs_overhead_audit.bin";
   std::uint64_t accepted_off = 0, accepted_on = 0;
-  double off_s = 0.0, on_s = 0.0;
+  std::vector<double> off_blocks, on_blocks, ratios;
   obs::AuditStats audit_stats;
   {
     obs::AuditRecorder recorder(log_path);
-    for (int b = 0; b < blocks; ++b) {
+    for (int b = 0; b < pairs; ++b) {
       obs::set_enabled(false);
       obs::install_audit_recorder(nullptr);
-      const double off = block_s(user, observations, accepted_off);
-      if (b == 0 || off < off_s) off_s = off;
+      off_blocks.push_back(block_s(user, observations, accepted_off));
 
       obs::set_enabled(true);
       obs::install_audit_recorder(&recorder);
-      const double on = block_s(user, observations, accepted_on);
-      if (b == 0 || on < on_s) on_s = on;
+      on_blocks.push_back(block_s(user, observations, accepted_on));
+      ratios.push_back(on_blocks.back() / off_blocks.back());
     }
     obs::install_audit_recorder(nullptr);
     recorder.flush();
@@ -119,10 +133,11 @@ int main(int argc, char** argv) {
   obs::set_enabled(true);
   std::remove(log_path.c_str());
 
-  const double per_auth_off_us = 1e6 * off_s / trials;
-  const double per_auth_on_us = 1e6 * on_s / trials;
-  const double overhead = off_s > 0.0 ? (on_s - off_s) / off_s : 0.0;
-  const double throughput_ratio = on_s > 0.0 ? off_s / on_s : 0.0;
+  const double per_auth_off_us = 1e6 * median(off_blocks) / trials;
+  const double per_auth_on_us = 1e6 * median(on_blocks) / trials;
+  const double on_off_ratio = median(ratios);
+  const double overhead = on_off_ratio - 1.0;
+  const double throughput_ratio = 1.0 / on_off_ratio;
 
   util::Table table({"mode", "per-auth", "accepted"});
   table.begin_row()
@@ -134,8 +149,9 @@ int main(int argc, char** argv) {
       .cell(util::format_double(per_auth_on_us, 1) + " us")
       .cell(std::to_string(accepted_on) + "/" + std::to_string(trials));
   report.table(table, "overhead",
-               "Observability overhead - authenticate() latency, best of " +
-                   std::to_string(blocks) + " blocks x " +
+               "Observability overhead - authenticate() latency, median "
+               "block of " +
+                   std::to_string(pairs) + " interleaved pairs x " +
                    std::to_string(trials) + " attempts");
 
   std::printf("overhead: %.2f%% (budget %.0f%%), ring drops: %llu\n",
@@ -145,8 +161,9 @@ int main(int argc, char** argv) {
   report.value("per_auth_off_us", per_auth_off_us);
   report.value("per_auth_on_us", per_auth_on_us);
   report.value("overhead_fraction", overhead);
-  // Gated (higher is better): off/on latency ratio; 1.0 = free telemetry,
-  // 0.95 = 5.3% overhead.  CI gates with --tolerance 0.95.
+  // Gated (higher is better): the median per-pair off/on latency ratio;
+  // 1.0 = free telemetry, 0.95 = 5.3% overhead.  CI gates with
+  // --tolerance 0.95.
   report.value("instrumented_throughput_ratio", throughput_ratio);
   report.value("audit_records_written",
                static_cast<std::uint64_t>(audit_stats.written));

@@ -1,19 +1,21 @@
-// AVX2 kernel backend (256-bit, four doubles per vector).  Compiled
-// with -mavx2 -mno-fma -ffp-contract=off: FMA contraction would change
-// rounding and break the bit-identity contract, so multiplies and adds
-// stay separate instructions.  Nine-tap edges and vector tails run the
-// shared scalar helpers; interiors run four lanes wide in the scalar
-// per-element operation order.  PPV counting builds each convolution
-// from the zero-padded 3·x copy in registers and counts threshold
-// exceedances directly with packed compares (exact integers, so the
-// features stay bit-identical); gathers are deliberately avoided — a
-// vectorized binary search needs one gather per step and measures
-// slower than the scalar cmov search on every x86 core we tried.
+// AVX2 kernel backend (256-bit: eight floats or four doubles per
+// vector).  Compiled with -mavx2 -mno-fma -ffp-contract=off: FMA
+// contraction would change rounding and break the bit-identity
+// contract, so multiplies and adds stay separate instructions.  The
+// nine-tap sum runs eight float lanes over the zero-padded copy, with
+// the shared scalar helper for the tail.  PPV counting builds each float
+// convolution from the zero-padded 3·x copy in registers and counts
+// threshold exceedances directly with packed compares on 32-bit lane
+// counters (exact integers, so the features stay bit-identical);
+// gathers are deliberately avoided — a vectorized binary search needs
+// one gather per step and measures slower than the scalar cmov search
+// on every x86 core we tried.
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "backend/kernels.hpp"
 #include "backend/kernels_detail.hpp"
@@ -22,105 +24,106 @@ namespace p2auth::backend {
 
 namespace {
 
-void nine_tap_sum_avx2(const double* x, long long n, long long d,
-                       double* sum) {
-  const auto [lo, hi] = detail::nine_tap_partition(n, d);
-  for (long long i = 0; i < lo; ++i) detail::nine_tap_edge(x, n, d, i, sum);
-  long long i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    // Ascending tap order starting from 0.0, as in the scalar interior.
-    __m256d s = _mm256_setzero_pd();
-    s = _mm256_add_pd(s, _mm256_loadu_pd(x + i - 4 * d));
-    s = _mm256_add_pd(s, _mm256_loadu_pd(x + i - 3 * d));
-    s = _mm256_add_pd(s, _mm256_loadu_pd(x + i - 2 * d));
-    s = _mm256_add_pd(s, _mm256_loadu_pd(x + i - d));
-    s = _mm256_add_pd(s, _mm256_loadu_pd(x + i));
-    s = _mm256_add_pd(s, _mm256_loadu_pd(x + i + d));
-    s = _mm256_add_pd(s, _mm256_loadu_pd(x + i + 2 * d));
-    s = _mm256_add_pd(s, _mm256_loadu_pd(x + i + 3 * d));
-    s = _mm256_add_pd(s, _mm256_loadu_pd(x + i + 4 * d));
-    _mm256_storeu_pd(sum + i, s);
+void nine_tap_sum_avx2(const float* x, long long n, long long d,
+                       float* sum) {
+  long long i = 0;
+  for (; i + 8 <= n; i += 8) {
+    // Ascending tap order starting from +0.0f, as in the scalar loop.
+    __m256 s = _mm256_setzero_ps();
+    s = _mm256_add_ps(s, _mm256_loadu_ps(x + i - 4 * d));
+    s = _mm256_add_ps(s, _mm256_loadu_ps(x + i - 3 * d));
+    s = _mm256_add_ps(s, _mm256_loadu_ps(x + i - 2 * d));
+    s = _mm256_add_ps(s, _mm256_loadu_ps(x + i - d));
+    s = _mm256_add_ps(s, _mm256_loadu_ps(x + i));
+    s = _mm256_add_ps(s, _mm256_loadu_ps(x + i + d));
+    s = _mm256_add_ps(s, _mm256_loadu_ps(x + i + 2 * d));
+    s = _mm256_add_ps(s, _mm256_loadu_ps(x + i + 3 * d));
+    s = _mm256_add_ps(s, _mm256_loadu_ps(x + i + 4 * d));
+    _mm256_storeu_ps(sum + i, s);
   }
-  detail::nine_tap_interior(x, d, i, hi, sum);
-  for (i = hi; i < n; ++i) detail::nine_tap_edge(x, n, d, i, sum);
+  detail::nine_tap_padded(x, d, i, n, sum);
 }
 
-// Sums the four 64-bit lanes of a packed counter.
-inline std::size_t hsum_epi64(__m256i c) {
-  alignas(32) long long lanes[4];
+// Sums the eight 32-bit lanes of a packed counter.
+inline std::size_t hsum_epi32(__m256i c) {
+  alignas(32) std::uint32_t lanes[8];
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), c);
-  return static_cast<std::size_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
+  std::size_t sum = 0;
+  for (const std::uint32_t lane : lanes) sum += lane;
+  return sum;
 }
 
-// Fused convolution and exceedance counting: one pass builds four
-// convolution outputs in a register from the padded copy and counts M
-// consecutive sorted thresholds at once, hist[k] = #{i : conv[i] >
-// bias[k]}, so each convolution vector is shared by 4 * M
+// Fused convolution and exceedance counting: one pass builds eight
+// float convolution outputs in a register from the padded copy and
+// counts M consecutive sorted thresholds at once, hist[k] = #{i :
+// conv[i] > bias[k]}, so each convolution vector is shared by 8 * M
 // element-threshold compares.  _CMP_GT_OQ is false on NaN exactly like
 // the scalar `>`, so the integer counts — and hence the emitted
 // features — are bit-identical to the scalar search-plus-fold path.
-// O(n * bpc / 4) fully pipelined ops beat the scalar O(n log bpc) cmov
-// search at the realistic bias counts (tens per combo); for degenerate
-// huge bpc the asymptotics flip and the scalar path takes over
-// (ppv_count_avx2).
+// A lane counts n / 8 elements at most, so 32-bit counters overflow only
+// past 2^35 elements, far beyond any series that fits in memory.  O(n * bpc / 8) fully pipelined ops beat the
+// scalar O(n log bpc) cmov search at the realistic bias counts (tens
+// per combo); for degenerate huge bpc the asymptotics flip and the
+// scalar path takes over (ppv_count_avx2).
 template <int M>
-void count_pass(const PpvCombo& combo, const double* bias,
+void count_pass(const PpvCombo& combo, const float* bias,
                 std::size_t* hist) {
   const long long n = combo.n;
-  const double* const nsum = combo.nsum;
-  const double* const xa = combo.x3 + combo.sa;
-  const double* const xb = combo.x3 + combo.sb;
-  const double* const xc = combo.x3 + combo.sc;
+  const float* const nsum = combo.nsum;
+  const float* const xa = combo.x3 + combo.sa;
+  const float* const xb = combo.x3 + combo.sb;
+  const float* const xc = combo.x3 + combo.sc;
   // Unrolled early, so the arrays live in registers.
-  __m256d b[M];
+  __m256 b[M];
   __m256i c[M];
 #pragma GCC unroll 6
   for (int k = 0; k < M; ++k) {
-    b[k] = _mm256_set1_pd(bias[k]);
+    b[k] = _mm256_set1_ps(bias[k]);
     c[k] = _mm256_setzero_si256();
   }
-  // The last n % 4 elements first, so the broadcasts are dead after the
+  // The last n % 8 elements first, so the broadcasts are dead after the
   // main loop; with the tail after it, GCC spills counters inside the
   // loop.  The padding covers the unmasked 3·x loads past the end; a
-  // masked load reads 0.0 into the nine-tap sum's lanes past the end
+  // masked load reads 0.0f into the nine-tap sum's lanes past the end
   // without touching their memory, and the lane mask clears those
   // lanes' compare results.
-  const long long full = n & ~3LL;
+  const long long full = n & ~7LL;
   if (full < n) {
-    const __m256i lanes = _mm256_cmpgt_epi64(_mm256_set1_epi64x(n - full),
-                                             _mm256_set_epi64x(3, 2, 1, 0));
-    __m256d v = _mm256_maskload_pd(nsum + full, lanes);
-    v = _mm256_add_pd(v, _mm256_loadu_pd(xa + full));
-    v = _mm256_add_pd(v, _mm256_loadu_pd(xb + full));
-    v = _mm256_add_pd(v, _mm256_loadu_pd(xc + full));
+    const __m256i lanes =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n - full)),
+                           _mm256_set_epi32(7, 6, 5, 4, 3, 2, 1, 0));
+    __m256 v = _mm256_maskload_ps(nsum + full, lanes);
+    v = _mm256_add_ps(v, _mm256_loadu_ps(xa + full));
+    v = _mm256_add_ps(v, _mm256_loadu_ps(xb + full));
+    v = _mm256_add_ps(v, _mm256_loadu_ps(xc + full));
 #pragma GCC unroll 6
     for (int k = 0; k < M; ++k) {
-      c[k] = _mm256_sub_epi64(
-          c[k], _mm256_and_si256(lanes, _mm256_castpd_si256(_mm256_cmp_pd(
+      c[k] = _mm256_sub_epi32(
+          c[k], _mm256_and_si256(lanes, _mm256_castps_si256(_mm256_cmp_ps(
                                               v, b[k], _CMP_GT_OQ))));
     }
   }
-  for (long long i = 0; i < full; i += 4) {
-    // The reference's addition order: -sum9, then the taps ascending.
-    __m256d v = _mm256_loadu_pd(nsum + i);
-    v = _mm256_add_pd(v, _mm256_loadu_pd(xa + i));
-    v = _mm256_add_pd(v, _mm256_loadu_pd(xb + i));
-    v = _mm256_add_pd(v, _mm256_loadu_pd(xc + i));
+  for (long long i = 0; i < full; i += 8) {
+    // The oracle's addition order: -sum9, then the taps ascending.
+    __m256 v = _mm256_loadu_ps(nsum + i);
+    v = _mm256_add_ps(v, _mm256_loadu_ps(xa + i));
+    v = _mm256_add_ps(v, _mm256_loadu_ps(xb + i));
+    v = _mm256_add_ps(v, _mm256_loadu_ps(xc + i));
 #pragma GCC unroll 6
     for (int k = 0; k < M; ++k) {
       // A true compare is all-ones (-1): subtracting the mask counts.
-      c[k] = _mm256_sub_epi64(
-          c[k], _mm256_castpd_si256(_mm256_cmp_pd(v, b[k], _CMP_GT_OQ)));
+      c[k] = _mm256_sub_epi32(
+          c[k], _mm256_castps_si256(_mm256_cmp_ps(v, b[k], _CMP_GT_OQ)));
     }
   }
 #pragma GCC unroll 6
-  for (int k = 0; k < M; ++k) hist[k] = hsum_epi64(c[k]);
+  for (int k = 0; k < M; ++k) hist[k] = hsum_epi32(c[k]);
 }
 
 // Widest pass: six broadcast and six counter registers, plus the
 // convolution and the compare result, fit the sixteen ymm registers.
 constexpr std::size_t kMaxPassWidth = 6;
-using CountPassFn = void (*)(const PpvCombo&, const double*, std::size_t*);
+using CountPassFn = void (*)(const PpvCombo&, const float*, std::size_t*);
 constexpr CountPassFn kCountPass[kMaxPassWidth] = {
     &count_pass<1>, &count_pass<2>, &count_pass<3>,
     &count_pass<4>, &count_pass<5>, &count_pass<6>,
@@ -129,7 +132,7 @@ constexpr CountPassFn kCountPass[kMaxPassWidth] = {
 // One pass per group of up to six thresholds, each recomputing the
 // three adds, so the default model's five biases per combo cost a
 // single pass over the series.
-void ppv_count_avx2(const PpvCombo& c, std::size_t* hist, double* conv,
+void ppv_count_avx2(const PpvCombo& c, std::size_t* hist, float* conv,
                     double* out) {
   // Past ~128 biases per combo (far beyond any realistic feature
   // budget) the O(n log bpc) scalar search wins; below it the packed

@@ -1,14 +1,11 @@
-// AVX-512F kernel backend (512-bit, eight doubles per vector).
-// Compiled with -mavx512f -ffp-contract=off; every add is an explicit
-// intrinsic, so no fused multiply-adds appear and the bit-identity
-// contract with the scalar reference holds.
+// AVX-512F kernel backend (512-bit: sixteen floats or eight doubles
+// per vector).  Compiled with -mavx512f -ffp-contract=off; every add is
+// an explicit intrinsic, so no fused multiply-adds appear and the
+// bit-identity contract with the scalar reference holds.
 //
-// The nine-tap sum vectorizes its edges too: AVX-512 merge-masking
-// (`_mm512_mask_add_pd`) leaves a masked lane's bits untouched, which is
-// exactly the reference's semantics of skipping an out-of-range tap.
-// Masked loads suppress faults on the masked lanes, so edge blocks can
-// load through pointers whose masked lanes fall outside the series.
-// PPV counting needs no edge path: it reads the zero-padded 3·x copy.
+// The nine-tap sum and PPV counting read the zero-padded float copies,
+// so neither needs an edge path: a masked store (nine-tap sum) or a
+// masked compare (counting) handles the last partial vector.
 //
 // The dot product must follow the cross-backend width-4 stripe
 // contract (see kernels_detail.hpp), so it deliberately stays 256-bit:
@@ -28,141 +25,115 @@ namespace p2auth::backend {
 
 namespace {
 
-// Pointer displaced by a possibly out-of-range element offset.  Edge
-// blocks aim masked loads at addresses whose masked lanes precede the
-// array; routing the arithmetic through uintptr_t keeps the (never
-// dereferenced) out-of-bounds computation out of pointer-UB territory.
-inline const double* displaced(const double* base, long long off) noexcept {
-  return reinterpret_cast<const double*>(
-      reinterpret_cast<std::uintptr_t>(base) +
-      static_cast<std::uintptr_t>(off) * sizeof(double));
+// The lanes of the last partial 16-float block of an n-element range.
+inline __mmask16 tail_mask(long long n) noexcept {
+  return static_cast<__mmask16>((1u << (n & 15)) - 1u);
 }
 
-void nine_tap_sum_avx512(const double* x, long long n, long long d,
-                         double* sum) {
-  const auto [lo, hi] = detail::nine_tap_partition(n, d);
-  const __m512i iota = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
-  const __m512i vn = _mm512_set1_epi64(n);
-  // Per-tap validity bounds: lane l of block i holds element i+l, and
-  // tap t (shift s = (t-4)*d) is in range iff -s <= i+l < n-s.
-  __m512i lob[9], hib[9];
-  for (int t = 0; t < 9; ++t) {
-    const long long s = static_cast<long long>(t - 4) * d;
-    lob[t] = _mm512_set1_epi64(-s);
-    hib[t] = _mm512_set1_epi64(n - s);
-  }
-  for (long long i = 0; i < n; i += 8) {
-    if (i >= lo && i + 8 <= hi) {
-      // Fully interior block: ascending tap order from 0.0, as in the
-      // scalar interior.
-      __m512d s = _mm512_setzero_pd();
-      s = _mm512_add_pd(s, _mm512_loadu_pd(x + i - 4 * d));
-      s = _mm512_add_pd(s, _mm512_loadu_pd(x + i - 3 * d));
-      s = _mm512_add_pd(s, _mm512_loadu_pd(x + i - 2 * d));
-      s = _mm512_add_pd(s, _mm512_loadu_pd(x + i - d));
-      s = _mm512_add_pd(s, _mm512_loadu_pd(x + i));
-      s = _mm512_add_pd(s, _mm512_loadu_pd(x + i + d));
-      s = _mm512_add_pd(s, _mm512_loadu_pd(x + i + 2 * d));
-      s = _mm512_add_pd(s, _mm512_loadu_pd(x + i + 3 * d));
-      s = _mm512_add_pd(s, _mm512_loadu_pd(x + i + 4 * d));
-      _mm512_storeu_pd(sum + i, s);
-      continue;
+void nine_tap_sum_avx512(const float* x, long long n, long long d,
+                         float* sum) {
+  // Ascending tap order from +0.0f, as in the scalar loop.  The padding
+  // covers the last block's loads past the end; its store is masked.
+  for (long long i = 0; i < n; i += 16) {
+    __m512 s = _mm512_setzero_ps();
+    s = _mm512_add_ps(s, _mm512_loadu_ps(x + i - 4 * d));
+    s = _mm512_add_ps(s, _mm512_loadu_ps(x + i - 3 * d));
+    s = _mm512_add_ps(s, _mm512_loadu_ps(x + i - 2 * d));
+    s = _mm512_add_ps(s, _mm512_loadu_ps(x + i - d));
+    s = _mm512_add_ps(s, _mm512_loadu_ps(x + i));
+    s = _mm512_add_ps(s, _mm512_loadu_ps(x + i + d));
+    s = _mm512_add_ps(s, _mm512_loadu_ps(x + i + 2 * d));
+    s = _mm512_add_ps(s, _mm512_loadu_ps(x + i + 3 * d));
+    s = _mm512_add_ps(s, _mm512_loadu_ps(x + i + 4 * d));
+    if (i + 16 <= n) {
+      _mm512_storeu_ps(sum + i, s);
+    } else {
+      _mm512_mask_storeu_ps(sum + i, tail_mask(n), s);
     }
-    // Edge block: per-tap masks replay the guarded scalar loop — each
-    // lane adds exactly its in-range taps, ascending, starting at 0.0;
-    // merge-masking leaves skipped lanes' bits untouched.
-    const __m512i idx = _mm512_add_epi64(iota, _mm512_set1_epi64(i));
-    const __mmask8 mt = _mm512_cmplt_epi64_mask(idx, vn);
-    __m512d s = _mm512_setzero_pd();
-    for (int t = 0; t < 9; ++t) {
-      const __mmask8 m = mt & _mm512_cmpge_epi64_mask(idx, lob[t]) &
-                         _mm512_cmplt_epi64_mask(idx, hib[t]);
-      const long long sft = static_cast<long long>(t - 4) * d;
-      const __m512d xv = _mm512_maskz_loadu_pd(m, displaced(x, i + sft));
-      s = _mm512_mask_add_pd(s, m, s, xv);
-    }
-    _mm512_mask_storeu_pd(sum + i, mt, s);
   }
 }
 
-// Horizontal sum of eight 64-bit counters.  _mm512_reduce_add_epi64
+// Horizontal sum of sixteen 32-bit counters.  _mm512_reduce_add_epi32
 // and _mm512_castsi512_si256 start from _mm256_undefined_si256, which
-// gcc 12 reports as used uninitialized; zero-masked extracts define
-// every lane.  The counts are integers, so any order gives the same sum.
-inline long long sum_epi64(__m512i c) {
-  const __m256i q =
-      _mm256_add_epi64(_mm512_maskz_extracti64x4_epi64(0xFF, c, 0),
+// gcc 12 reports as used uninitialized; zero-masked 64-bit extracts
+// define every lane (AVX-512F has no 32-bit masked extract).  The counts
+// are integers, so any order gives the same sum.
+inline std::size_t sum_epi32(__m512i c) {
+  const __m256i o =
+      _mm256_add_epi32(_mm512_maskz_extracti64x4_epi64(0xFF, c, 0),
                        _mm512_maskz_extracti64x4_epi64(0xFF, c, 1));
-  const __m128i h = _mm_add_epi64(_mm256_extracti128_si256(q, 0),
-                                  _mm256_extracti128_si256(q, 1));
-  return _mm_cvtsi128_si64(_mm_add_epi64(h, _mm_unpackhi_epi64(h, h)));
+  __m128i h = _mm_add_epi32(_mm256_extracti128_si256(o, 0),
+                            _mm256_extracti128_si256(o, 1));
+  h = _mm_add_epi32(h, _mm_unpackhi_epi64(h, h));
+  h = _mm_add_epi32(h, _mm_shuffle_epi32(h, 1));
+  return static_cast<std::uint32_t>(_mm_cvtsi128_si32(h));
 }
 
 // Fused convolution and exceedance counting (see the AVX2 backend for
 // why counting beats a gathered binary search; the counts are exact
-// integers, so features stay bit-identical).  One pass builds eight
-// convolution outputs in a register from the padded copy, then counts
-// M consecutive sorted thresholds at once: hist[k] = #{i : conv[i] >
-// bias[k]}.
+// integers, so features stay bit-identical).  One pass builds sixteen
+// float convolution outputs in a register from the padded copy, then
+// counts M consecutive sorted thresholds at once on 32-bit lane
+// counters: hist[k] = #{i : conv[i] > bias[k]}.  A lane counts n / 16
+// elements at most, so 32 bits overflow only past 2^36 elements, far
+// beyond any series that fits in memory.
 template <int M>
-void count_pass(const PpvCombo& combo, const double* bias,
+void count_pass(const PpvCombo& combo, const float* bias,
                 std::size_t* hist) {
   const long long n = combo.n;
-  const double* const nsum = combo.nsum;
-  const double* const xa = combo.x3 + combo.sa;
-  const double* const xb = combo.x3 + combo.sb;
-  const double* const xc = combo.x3 + combo.sc;
-  const __m512i one = _mm512_set1_epi64(1);
+  const float* const nsum = combo.nsum;
+  const float* const xa = combo.x3 + combo.sa;
+  const float* const xb = combo.x3 + combo.sb;
+  const float* const xc = combo.x3 + combo.sc;
+  const __m512i one = _mm512_set1_epi32(1);
   // Unrolled early, so the arrays live in registers.
-  __m512d b[M];
+  __m512 b[M];
   __m512i c[M];
 #pragma GCC unroll 8
   for (int k = 0; k < M; ++k) {
-    b[k] = _mm512_set1_pd(bias[k]);
+    b[k] = _mm512_set1_ps(bias[k]);
     c[k] = _mm512_setzero_si512();
   }
-  // The last n % 8 elements first, so the main loop needs no mask.  The
-  // padding covers the unmasked 3·x loads past the end; the tail mask
-  // guards the nine-tap sum's load and folds into the compare, which
-  // never sets a masked lane.
-  const long long full = n & ~7LL;
+  // The last n % 16 elements first, so the main loop needs no mask.
+  // The padding covers the unmasked 3·x loads past the end; the tail
+  // mask guards the nine-tap sum's load and folds into the compare,
+  // which never sets a masked lane.
+  const long long full = n & ~15LL;
   if (full < n) {
-    const auto lanes = static_cast<__mmask8>((1u << (n - full)) - 1u);
-    __m512d v = _mm512_maskz_loadu_pd(lanes, nsum + full);
-    v = _mm512_add_pd(v, _mm512_loadu_pd(xa + full));
-    v = _mm512_add_pd(v, _mm512_loadu_pd(xb + full));
-    v = _mm512_add_pd(v, _mm512_loadu_pd(xc + full));
+    const __mmask16 lanes = tail_mask(n);
+    __m512 v = _mm512_maskz_loadu_ps(lanes, nsum + full);
+    v = _mm512_add_ps(v, _mm512_loadu_ps(xa + full));
+    v = _mm512_add_ps(v, _mm512_loadu_ps(xb + full));
+    v = _mm512_add_ps(v, _mm512_loadu_ps(xc + full));
 #pragma GCC unroll 8
     for (int k = 0; k < M; ++k) {
-      c[k] = _mm512_mask_add_epi64(
-          c[k], _mm512_mask_cmp_pd_mask(lanes, v, b[k], _CMP_GT_OQ),
-          c[k], one);
+      c[k] = _mm512_mask_add_epi32(
+          c[k], _mm512_mask_cmp_ps_mask(lanes, v, b[k], _CMP_GT_OQ), c[k],
+          one);
     }
   }
-  for (long long i = 0; i < full; i += 8) {
-    // The reference's addition order: -sum9, then the taps ascending.
-    __m512d v = _mm512_loadu_pd(nsum + i);
-    v = _mm512_add_pd(v, _mm512_loadu_pd(xa + i));
-    v = _mm512_add_pd(v, _mm512_loadu_pd(xb + i));
-    v = _mm512_add_pd(v, _mm512_loadu_pd(xc + i));
+  for (long long i = 0; i < full; i += 16) {
+    // The oracle's addition order: -sum9, then the taps ascending.
+    __m512 v = _mm512_loadu_ps(nsum + i);
+    v = _mm512_add_ps(v, _mm512_loadu_ps(xa + i));
+    v = _mm512_add_ps(v, _mm512_loadu_ps(xb + i));
+    v = _mm512_add_ps(v, _mm512_loadu_ps(xc + i));
 #pragma GCC unroll 8
     for (int k = 0; k < M; ++k) {
       // _CMP_GT_OQ is false on NaN, matching the scalar `>`.
-      c[k] = _mm512_mask_add_epi64(
-          c[k], _mm512_cmp_pd_mask(v, b[k], _CMP_GT_OQ), c[k], one);
+      c[k] = _mm512_mask_add_epi32(
+          c[k], _mm512_cmp_ps_mask(v, b[k], _CMP_GT_OQ), c[k], one);
     }
   }
 #pragma GCC unroll 8
-  for (int k = 0; k < M; ++k) {
-    hist[k] = static_cast<std::size_t>(sum_epi64(c[k]));
-  }
+  for (int k = 0; k < M; ++k) hist[k] = sum_epi32(c[k]);
 }
 
 // Widest pass: eight broadcast and eight counter registers stay resident,
-// so each convolution vector is shared by up to 64 element-threshold
+// so each convolution vector is shared by up to 128 element-threshold
 // compares.
 constexpr std::size_t kMaxPassWidth = 8;
-using CountPassFn = void (*)(const PpvCombo&, const double*, std::size_t*);
+using CountPassFn = void (*)(const PpvCombo&, const float*, std::size_t*);
 constexpr CountPassFn kCountPass[kMaxPassWidth] = {
     &count_pass<1>, &count_pass<2>, &count_pass<3>, &count_pass<4>,
     &count_pass<5>, &count_pass<6>, &count_pass<7>, &count_pass<8>,
@@ -171,7 +142,7 @@ constexpr CountPassFn kCountPass[kMaxPassWidth] = {
 // One pass per group of up to eight thresholds, each recomputing the
 // three adds, so the default model's five biases per combo cost a
 // single pass over the series.
-void ppv_count_avx512(const PpvCombo& c, std::size_t* hist, double* conv,
+void ppv_count_avx512(const PpvCombo& c, std::size_t* hist, float* conv,
                       double* out) {
   // Same crossover as the AVX2 backend: degenerate huge bias counts
   // favour the O(n log bpc) scalar search.  Identical exact integers

@@ -1,9 +1,9 @@
 // Internal building blocks shared by the per-ISA kernel translation
 // units.  Everything here is scalar code with the exact per-element
 // floating-point operation order of the bit-identity contract: the SIMD
-// TUs use these helpers for edge regions and vector-width tails, and the
-// scalar TU (plus the ISAs that do not accelerate a given kernel) uses
-// them wholesale.  Not installed API — include only from src/backend.
+// TUs use these helpers for vector-width tails, and the scalar TU (plus
+// the ISAs that do not accelerate a given kernel) uses them wholesale.
+// Not installed API — include only from src/backend.
 #pragma once
 
 #include <algorithm>
@@ -14,37 +14,14 @@
 namespace p2auth::backend::detail {
 
 // ---------------------------------------------------------------------
-// Nine-tap shift partition.  An element is "interior" when its whole
-// receptive field lies inside the series; edges are handled by guarded
-// scalar loops so vector loops never read past the series.
+// Nine-tap sum over [i0, i1) of a zero-padded float series: ascending
+// tap order from +0.0f, one float add per tap.
 // ---------------------------------------------------------------------
 
-struct Partition {
-  long long lo = 0;  // first interior index
-  long long hi = 0;  // one past the last interior index (hi >= lo)
-};
-
-inline Partition nine_tap_partition(long long n, long long d) noexcept {
-  const long long lo = std::min(n, 4 * d);
-  return {lo, std::max(lo, n - 4 * d)};
-}
-
-// Guarded nine-tap sum for one edge element (ascending tap order).
-inline void nine_tap_edge(const double* x, long long n, long long d,
-                          long long i, double* sum) noexcept {
-  double s = 0.0;
-  for (int j = 0; j < 9; ++j) {
-    const long long idx = i + static_cast<long long>(j - 4) * d;
-    if (idx >= 0 && idx < n) s += x[idx];
-  }
-  sum[i] = s;
-}
-
-// Branch-free nine-tap interior body over [i0, i1).
-inline void nine_tap_interior(const double* x, long long d, long long i0,
-                              long long i1, double* sum) noexcept {
+inline void nine_tap_padded(const float* x, long long d, long long i0,
+                            long long i1, float* sum) noexcept {
   for (long long i = i0; i < i1; ++i) {
-    double s = 0.0;
+    float s = 0.0f;
     s += x[i - 4 * d];
     s += x[i - 3 * d];
     s += x[i - 2 * d];

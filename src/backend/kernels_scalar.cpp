@@ -1,8 +1,8 @@
 // Scalar kernel backend: the always-compiled portable fallback and the
 // bit-identity reference every SIMD table is differentially tested
-// against.  The nine-tap sum keeps the shift-partitioned shape (guarded
-// edges, branch-free interior); PPV counting writes the padded
-// convolution and runs a cmov binary search per element; Gram blocks
+// against.  The nine-tap sum reads the zero-padded float copy with no
+// edge path; PPV counting writes the padded float convolution and runs
+// a cmov binary search per element over the float biases; Gram blocks
 // run a 2x2 register tile.  This TU is built -O3 like the old
 // minirocket.cpp so the branch-free loops auto-vectorize.  It also holds
 // kernel_conv, the exact convolution that fit and max pooling call
@@ -18,12 +18,9 @@ namespace p2auth::backend {
 
 namespace {
 
-void nine_tap_sum_scalar(const double* x, long long n, long long d,
-                         double* sum) {
-  const auto [lo, hi] = detail::nine_tap_partition(n, d);
-  for (long long i = 0; i < lo; ++i) detail::nine_tap_edge(x, n, d, i, sum);
-  detail::nine_tap_interior(x, d, lo, hi, sum);
-  for (long long i = hi; i < n; ++i) detail::nine_tap_edge(x, n, d, i, sum);
+void nine_tap_sum_scalar(const float* x, long long n, long long d,
+                         float* sum) {
+  detail::nine_tap_padded(x, d, 0, n, sum);
 }
 
 // One compile-time-width binary search per element (the fixed trip
@@ -33,7 +30,7 @@ void nine_tap_sum_scalar(const double* x, long long n, long long d,
 // so features match any other evaluation order bit-for-bit — including
 // NaN (compares below every bias, lands in bucket 0) and +/-inf.
 template <int kSteps>
-std::size_t ppv_search(const double* pad_bias, double v) noexcept {
+std::size_t ppv_search(const float* pad_bias, float v) noexcept {
   std::size_t j = 0;
   for (int s = kSteps - 1; s >= 0; --s) {
     const std::size_t w = std::size_t{1} << s;
@@ -43,10 +40,10 @@ std::size_t ppv_search(const double* pad_bias, double v) noexcept {
 }
 
 template <int kSteps>
-void ppv_search_count(const double* conv, const PpvCombo& c,
+void ppv_search_count(const float* conv, const PpvCombo& c,
                       std::size_t* hist) {
   const long long n = c.n;
-  const double* const pad_bias = c.pad_bias;
+  const float* const pad_bias = c.pad_bias;
   std::fill(hist, hist + c.bpc + 1, std::size_t{0});
   for (long long i = 0; i < n; ++i) {
     ++hist[ppv_search<kSteps>(pad_bias, conv[i])];
@@ -55,7 +52,7 @@ void ppv_search_count(const double* conv, const PpvCombo& c,
 
 // steps -> specialized search.  Index 0 is unused (bpc >= 1 forces at
 // least one step).
-using SearchCountFn = void (*)(const double*, const PpvCombo&, std::size_t*);
+using SearchCountFn = void (*)(const float*, const PpvCombo&, std::size_t*);
 
 template <std::size_t... kSteps>
 constexpr std::array<SearchCountFn, sizeof...(kSteps)> make_search_table(
@@ -95,17 +92,17 @@ void gram_micro_scalar(const double* const* a, const double* const* b,
 
 }  // namespace
 
-void scalar_ppv_count(const PpvCombo& c, std::size_t* hist, double* conv,
+void scalar_ppv_count(const PpvCombo& c, std::size_t* hist, float* conv,
                       double* out) {
   // The padded convolution in one branch-free pass; fusing it into the
   // search loop measured slower.
   const long long n = c.n;
-  const double* const nsum = c.nsum;
-  const double* const xa = c.x3 + c.sa;
-  const double* const xb = c.x3 + c.sb;
-  const double* const xc = c.x3 + c.sc;
+  const float* const nsum = c.nsum;
+  const float* const xa = c.x3 + c.sa;
+  const float* const xb = c.x3 + c.sb;
+  const float* const xc = c.x3 + c.sc;
   for (long long i = 0; i < n; ++i) {
-    double v = nsum[i];
+    float v = nsum[i];
     v += xa[i];
     v += xb[i];
     v += xc[i];
@@ -127,8 +124,8 @@ void scalar_ppv_count(const PpvCombo& c, std::size_t* hist, double* conv,
   }
 }
 
-void kernel_conv(const double* x, long long n, const double* sum9, int k0,
-                 int k1, int k2, long long d, double* conv) {
+void kernel_conv(const float* x3, long long n, const float* sum9, int k0,
+                 int k1, int k2, long long d, float* conv) {
   const long long shift[3] = {static_cast<long long>(k0 - 4) * d,
                               static_cast<long long>(k1 - 4) * d,
                               static_cast<long long>(k2 - 4) * d};
@@ -137,18 +134,18 @@ void kernel_conv(const double* x, long long n, const double* sum9, int k0,
   const long long lo = std::min(n, std::max(0LL, -shift[0]));
   const long long hi = std::max(lo, std::min(n, n - shift[2]));
   auto edge = [&](long long i) {
-    double v = -sum9[i];
+    float v = -sum9[i];
     for (const long long s : shift) {
-      if (i + s >= 0 && i + s < n) v += 3.0 * x[i + s];
+      if (i + s >= 0 && i + s < n) v += x3[i + s];
     }
     conv[i] = v;
   };
   for (long long i = 0; i < lo; ++i) edge(i);
   for (long long i = lo; i < hi; ++i) {
-    double v = -sum9[i];
-    v += 3.0 * x[i + shift[0]];
-    v += 3.0 * x[i + shift[1]];
-    v += 3.0 * x[i + shift[2]];
+    float v = -sum9[i];
+    v += x3[i + shift[0]];
+    v += x3[i + shift[1]];
+    v += x3[i + shift[2]];
     conv[i] = v;
   }
   for (long long i = hi; i < n; ++i) edge(i);

@@ -13,26 +13,35 @@
 //      supported by the host CPU.
 //
 // Bit-identity contract: every table produces features bit-identical to
-// the scalar table (and hence to `ml::minirocket::reference`) under
-// exact double comparison.
-//   * nine_tap_sum keeps the reference's per-element floating-point
-//     operation order and skips out-of-range taps, as the reference
-//     does.
-//   * ppv_count builds each combo's convolution from a zero-padded 3·x
-//     copy, so an out-of-range tap adds +0.0 where the reference skips
-//     it.  Adding +0.0 changes no value's bits except -0.0, which
-//     becomes +0.0, so this convolution differs from the reference's
-//     only in the sign of a zero.  No `conv > bias` compare can see
-//     that, and the counts are exact integers, so the features are
-//     identical.
-//   * kernel_conv, the exact skip-the-tap convolution, serves fit (whose
-//     bias quantiles are convolution values) and max pooling (which
-//     emits one as a feature).  It is scalar only, outside the tables.
-//   * dot follows a fixed width-4 stripe accumulation order that every
-//     backend — scalar included — implements identically.  gram_block
-//     shares that order: each Gram entry keeps its own four stripe
-//     accumulators across the whole feature range, so every entry has
-//     dot's bits, however the block is tiled in registers or cache.
+// the scalar table (and hence to the MiniRocket oracle, `ml::reference`
+// in tests/support) under exact comparison.  MiniRocket's convolution
+// runs in float32, and its operation order is fixed:
+//   * Each input sample is rounded to float once, xf[i] = float(x[i]),
+//     and tripled in float, x3[i] = 3.0f * xf[i].
+//   * nine_tap_sum adds xf over the nine taps in ascending tap order,
+//     starting from +0.0f.  It reads a copy of xf zero-padded on both
+//     sides, so an out-of-range tap adds +0.0f where the oracle skips
+//     it.  A sum that starts at +0.0f is never -0.0f, and adding +0.0f
+//     leaves any other value's bits alone, so the two sums agree bit
+//     for bit, NaN payloads included.
+//   * A combo's convolution is ((-sum9[i] + x3[i+sa]) + x3[i+sb]) +
+//     x3[i+sc] in float.  ppv_count reads the zero-padded x3 and so adds
+//     +0.0f for an out-of-range tap where the oracle skips it: the two
+//     convolutions differ only in the sign of a zero, which no
+//     `conv > bias` compare can see.
+//   * Each bias is rounded to float once, when the index is built, and
+//     compared as float; the counts are exact integers, and a feature is
+//     count * (1.0 / n) in double.
+//   * kernel_conv, the exact skip-the-tap float convolution, serves fit
+//     (whose bias quantiles are convolution values) and max pooling
+//     (which emits one as a feature).  It is scalar only, outside the
+//     tables.
+//   * dot follows a fixed width-4 stripe accumulation order in double
+//     that every backend — scalar included — implements identically.
+//     gram_block shares that order: each Gram entry keeps its own four
+//     stripe accumulators across the whole feature range, so every
+//     entry has dot's bits, however the block is tiled in registers or
+//     cache.  Features, the ridge and scores stay double.
 // No kernel contracts multiply-adds.  The differential test suites
 // enforce the contract for every table compiled into the binary.
 #pragma once
@@ -47,35 +56,38 @@
 
 namespace p2auth::backend {
 
-// Nine-tap sliding sum of x at dilation d (zero-padded "same" length):
-// sum[i] = sum_j x[i + (j-4)*d] over in-range taps, accumulated in
-// ascending tap order starting from 0.0.
-using NineTapSumFn = void (*)(const double* x, long long n, long long d,
-                              double* sum);
+// Nine-tap sliding sum of x at dilation d ("same" length): sum[i] =
+// sum_j x[i + (j-4)*d] over j = 0..8, accumulated in float in ascending
+// tap order starting from +0.0f.  `x` is padded: x[-ppv_padding(d)] ..
+// x[n + ppv_padding(d) - 1] are readable, and the padding holds +0.0f.
+using NineTapSumFn = void (*)(const float* x, long long n, long long d,
+                              float* sum);
 
-// Zero padding on each side of the 3·x copy that ppv_count reads, for
-// dilations up to `max_dilation`: the widest tap reach 4·d plus one
-// vector width, so the vector loads of the last partial block stay
-// inside the buffer too.
+// Zero padding on each side of the float copies that nine_tap_sum and
+// ppv_count read, for dilations up to `max_dilation`: the widest tap
+// reach 4·d plus one 16-float vector, so the vector loads of the last
+// partial block stay inside the buffer too.
 inline constexpr long long ppv_padding(long long max_dilation) noexcept {
-  return 4 * max_dilation + 8;
+  return 4 * max_dilation + 16;
 }
 
 // One (kernel, dilation) combo's inputs to ppv_count.  The combo's
 // convolution is
 //   conv[i] = ((nsum[i] + x3[i + sa]) + x3[i + sb]) + x3[i + sc]
-// for i in [0, n): no multiplies, and no edge path.
+// in float, for i in [0, n): no multiplies, and no edge path.
 struct PpvCombo {
-  // 3.0 * x[i] at x3[i], +0.0 on ppv_padding(d) elements either side.
-  const double* x3 = nullptr;
+  // 3.0f * float(x[i]) at x3[i], +0.0f on ppv_padding(d) elements
+  // either side.
+  const float* x3 = nullptr;
   // The dilation's nine-tap sum, negated; n elements.
-  const double* nsum = nullptr;
+  const float* nsum = nullptr;
   long long n = 0;
   // Tap shifts (k - 4) * d of the kernel's three +2 taps, ascending.
   long long sa = 0, sb = 0, sc = 0;
-  // The combo's biases in ascending order, +inf padded to 2^steps - 1
-  // slots, and each original quantile's position among them.
-  const double* pad_bias = nullptr;
+  // The combo's biases rounded to float in ascending order, +inf padded
+  // to 2^steps - 1 slots, and each original quantile's position among
+  // them.
+  const float* pad_bias = nullptr;
   const std::uint32_t* rank = nullptr;
   std::size_t bpc = 0;
   std::size_t steps = 0;
@@ -84,12 +96,13 @@ struct PpvCombo {
 
 // PPV features of one combo: out[q] = #{i : conv[i] > bias_q} * inv_n
 // for its bpc biases, in original quantile order.  `hist` holds bpc + 1
-// counts.  `conv` holds n doubles; the scalar table writes the
+// counts.  `conv` holds n floats; the scalar table writes the
 // convolution there and runs a branch-free binary search per element
-// over `pad_bias`, while the AVX2 and AVX-512 tables build it in
-// registers and count exceedances directly.
+// over `pad_bias`, while the AVX2 (8 lanes) and AVX-512 (16 lanes)
+// tables build it in registers and count exceedances directly on
+// 32-bit lane counters.
 using PpvCountFn = void (*)(const PpvCombo& combo, std::size_t* hist,
-                            double* conv, double* out);
+                            float* conv, double* out);
 
 // Width-4 striped dot product: four independent accumulators over
 // 4-element blocks (acc_l += a[i+l]*b[i+l], multiply then add, never
@@ -131,12 +144,13 @@ struct KernelTable {
 inline constexpr std::size_t kMaxPpvSearchSteps = 20;
 
 // Completes one MiniRocket kernel from the nine-tap sum with the
-// reference's exact operation order:
-// conv[i] = -sum9[i] + 3*x[i+(k0-4)d] + 3*x[i+(k1-4)d] + 3*x[i+(k2-4)d]
+// oracle's exact float operation order:
+// conv[i] = -sum9[i] + x3[i+(k0-4)d] + x3[i+(k1-4)d] + x3[i+(k2-4)d]
 // with in-range taps added in ascending order (k0 < k1 < k2) and
-// out-of-range taps skipped.  Scalar, not dispatched.
-void kernel_conv(const double* x, long long n, const double* sum9, int k0,
-                 int k1, int k2, long long d, double* conv);
+// out-of-range taps skipped; x3[i] = 3.0f * float(x[i]).  Scalar, not
+// dispatched.
+void kernel_conv(const float* x3, long long n, const float* sum9, int k0,
+                 int k1, int k2, long long d, float* conv);
 
 // The active kernel table: force_isa() override if set, else the cached
 // P2AUTH_BACKEND resolution.  First use may throw BackendError (unknown

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace p2auth::core {
@@ -45,7 +44,6 @@ std::vector<Series> extract_segment(const std::vector<Series>& channels,
                                     std::size_t center_index, double rate_hz,
                                     const SegmentationOptions& options) {
   const obs::Span span("segmentation.extract", "core");
-  obs::add_counter("segmentation.segments");
   if (channels.empty()) {
     throw std::invalid_argument("extract_segment: no channels");
   }
@@ -68,7 +66,6 @@ std::vector<Series> extract_full_waveform(
     const std::vector<Series>& channels, std::size_t first_index,
     double rate_hz, const SegmentationOptions& options) {
   const obs::Span span("segmentation.full_waveform", "core");
-  obs::add_counter("segmentation.full_waveforms");
   if (channels.empty()) {
     throw std::invalid_argument("extract_full_waveform: no channels");
   }
@@ -90,7 +87,6 @@ std::vector<Series> extract_full_waveform(
 std::vector<Series> fuse_segments(
     const std::vector<std::vector<Series>>& segments) {
   const obs::Span span("segmentation.fuse", "core");
-  obs::add_counter("segmentation.fusions");
   if (segments.empty()) {
     throw std::invalid_argument("fuse_segments: no segments");
   }

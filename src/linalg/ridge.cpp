@@ -102,7 +102,6 @@ void RidgeClassifier::fit(const Matrix& x, std::span<const double> y,
   std::vector<GridPoint> grid(options.lambdas.size());
   try {
     util::parallel_for(options.lambdas.size(), /*chunk=*/1, [&](std::size_t g) {
-      obs::add_counter("ridge.lambda_iterations");
       const obs::Span iteration("ridge.lambda_iteration", "linalg");
       Matrix shifted = k;
       shifted.add_scaled_identity(options.lambdas[g]);

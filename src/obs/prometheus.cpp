@@ -62,7 +62,10 @@ void write_prometheus_text(std::ostream& os,
     os << "\n";
   }
   for (const auto& [name, hist] : snapshot.histograms) {
-    const std::string mangled = prometheus_name(name) + "_us";
+    // Histograms observe microseconds; a name that already says so
+    // (pool.task_us) keeps a single unit suffix.
+    std::string mangled = prometheus_name(name);
+    if (!mangled.ends_with("_us")) mangled += "_us";
     os << "# TYPE " << mangled << " histogram\n";
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < kHistogramBoundsUs.size(); ++i) {

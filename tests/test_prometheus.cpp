@@ -42,6 +42,25 @@ TEST(PrometheusText, GoldenCountersAndGauges) {
             "p2auth_threads 4\n");
 }
 
+// A histogram whose name already carries the unit exports one "_us".
+TEST(PrometheusText, HistogramNameEndingInUsKeepsOneUnitSuffix) {
+  MetricsSnapshot snapshot;
+  HistogramSnapshot h;
+  h.count = 1;
+  h.sum_us = 12.0;
+  h.buckets[4] = 1;
+  snapshot.histograms["pool.task_us"] = h;
+  snapshot.histograms["authenticate"] = h;
+  const std::string text = prometheus_text(snapshot);
+  EXPECT_NE(text.find("# TYPE p2auth_pool_task_us histogram\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("p2auth_pool_task_us_count 1\n"), std::string::npos);
+  EXPECT_EQ(text.find("_us_us"), std::string::npos) << text;
+  EXPECT_NE(text.find("# TYPE p2auth_authenticate_us histogram\n"),
+            std::string::npos);
+}
+
 TEST(PrometheusText, HistogramBucketsAreCumulativeWithInf) {
   MetricsSnapshot snapshot;
   HistogramSnapshot h;
