@@ -13,9 +13,4 @@ const KernelTable& scalar_kernel_table() noexcept;  // always compiled
 const KernelTable& avx2_kernel_table() noexcept;    // x86 builds only
 const KernelTable& avx512_kernel_table() noexcept;  // x86 builds only
 
-// The scalar table's ppv_count, defined in kernels_scalar.cpp: the AVX2
-// and AVX-512 tables fall back to it past 128 biases per combo.
-void scalar_ppv_count(const PpvCombo& c, std::size_t* hist, float* conv,
-                      double* out);
-
 }  // namespace p2auth::backend

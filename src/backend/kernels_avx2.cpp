@@ -5,11 +5,8 @@
 // nine-tap sum runs eight float lanes over the zero-padded copy, with
 // the shared scalar helper for the tail.  PPV counting builds each float
 // convolution from the zero-padded 3·x copy in registers and counts
-// threshold exceedances directly with packed compares on 32-bit lane
-// counters (exact integers, so the features stay bit-identical);
-// gathers are deliberately avoided — a vectorized binary search needs
-// one gather per step and measures slower than the scalar cmov search
-// on every x86 core we tried.
+// each bias's exceedances directly with packed compares on 32-bit lane
+// counters (exact integers, so the features stay bit-identical).
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
@@ -55,19 +52,15 @@ inline std::size_t hsum_epi32(__m256i c) {
 
 // Fused convolution and exceedance counting: one pass builds eight
 // float convolution outputs in a register from the padded copy and
-// counts M consecutive sorted thresholds at once, hist[k] = #{i :
-// conv[i] > bias[k]}, so each convolution vector is shared by 8 * M
-// element-threshold compares.  _CMP_GT_OQ is false on NaN exactly like
+// counts M consecutive biases at once, out[k] = #{i : conv[i] >
+// float(bias[k])} * inv_n, so each convolution vector is shared by
+// 8 * M element-bias compares.  _CMP_GT_OQ is false on NaN exactly like
 // the scalar `>`, so the integer counts — and hence the emitted
-// features — are bit-identical to the scalar search-plus-fold path.
-// A lane counts n / 8 elements at most, so 32-bit counters overflow only
-// past 2^35 elements, far beyond any series that fits in memory.  O(n * bpc / 8) fully pipelined ops beat the
-// scalar O(n log bpc) cmov search at the realistic bias counts (tens
-// per combo); for degenerate huge bpc the asymptotics flip and the
-// scalar path takes over (ppv_count_avx2).
+// features — are bit-identical to the scalar table's.  A lane counts
+// n / 8 elements at most, so 32-bit counters overflow only past 2^35
+// elements, far beyond any series that fits in memory.
 template <int M>
-void count_pass(const PpvCombo& combo, const float* bias,
-                std::size_t* hist) {
+void count_pass(const PpvCombo& combo, const double* bias, double* out) {
   const long long n = combo.n;
   const float* const nsum = combo.nsum;
   const float* const xa = combo.x3 + combo.sa;
@@ -78,7 +71,7 @@ void count_pass(const PpvCombo& combo, const float* bias,
   __m256i c[M];
 #pragma GCC unroll 6
   for (int k = 0; k < M; ++k) {
-    b[k] = _mm256_set1_ps(bias[k]);
+    b[k] = _mm256_set1_ps(static_cast<float>(bias[k]));
     c[k] = _mm256_setzero_si256();
   }
   // The last n % 8 elements first, so the broadcasts are dead after the
@@ -117,36 +110,27 @@ void count_pass(const PpvCombo& combo, const float* bias,
     }
   }
 #pragma GCC unroll 6
-  for (int k = 0; k < M; ++k) hist[k] = hsum_epi32(c[k]);
+  for (int k = 0; k < M; ++k) {
+    out[k] = static_cast<double>(hsum_epi32(c[k])) * combo.inv_n;
+  }
 }
 
 // Widest pass: six broadcast and six counter registers, plus the
 // convolution and the compare result, fit the sixteen ymm registers.
 constexpr std::size_t kMaxPassWidth = 6;
-using CountPassFn = void (*)(const PpvCombo&, const float*, std::size_t*);
+using CountPassFn = void (*)(const PpvCombo&, const double*, double*);
 constexpr CountPassFn kCountPass[kMaxPassWidth] = {
     &count_pass<1>, &count_pass<2>, &count_pass<3>,
     &count_pass<4>, &count_pass<5>, &count_pass<6>,
 };
 
-// One pass per group of up to six thresholds, each recomputing the
-// three adds, so the default model's five biases per combo cost a
-// single pass over the series.
-void ppv_count_avx2(const PpvCombo& c, std::size_t* hist, float* conv,
-                    double* out) {
-  // Past ~128 biases per combo (far beyond any realistic feature
-  // budget) the O(n log bpc) scalar search wins; below it the packed
-  // count does.  Both produce the same exact integers.
-  if (c.bpc > 128) {
-    scalar_ppv_count(c, hist, conv, out);
-    return;
-  }
+// One pass per group of up to six biases, each recomputing the three
+// adds, so the default model's five biases per combo cost a single pass
+// over the series.
+void ppv_count_avx2(const PpvCombo& c, float* /*conv*/, double* out) {
   for (std::size_t t = 0; t < c.bpc; t += kMaxPassWidth) {
     const std::size_t m = std::min(c.bpc - t, kMaxPassWidth);
-    kCountPass[m - 1](c, c.pad_bias + t, hist + t);
-  }
-  for (std::size_t q = 0; q < c.bpc; ++q) {
-    out[q] = static_cast<double>(hist[c.rank[q]]) * c.inv_n;
+    kCountPass[m - 1](c, c.bias + t, out + t);
   }
 }
 

@@ -69,17 +69,15 @@ inline std::size_t sum_epi32(__m512i c) {
   return static_cast<std::uint32_t>(_mm_cvtsi128_si32(h));
 }
 
-// Fused convolution and exceedance counting (see the AVX2 backend for
-// why counting beats a gathered binary search; the counts are exact
+// Fused convolution and exceedance counting (the counts are exact
 // integers, so features stay bit-identical).  One pass builds sixteen
 // float convolution outputs in a register from the padded copy, then
-// counts M consecutive sorted thresholds at once on 32-bit lane
-// counters: hist[k] = #{i : conv[i] > bias[k]}.  A lane counts n / 16
-// elements at most, so 32 bits overflow only past 2^36 elements, far
-// beyond any series that fits in memory.
+// counts M consecutive biases at once on 32-bit lane counters:
+// out[k] = #{i : conv[i] > float(bias[k])} * inv_n.  A lane counts
+// n / 16 elements at most, so 32 bits overflow only past 2^36 elements,
+// far beyond any series that fits in memory.
 template <int M>
-void count_pass(const PpvCombo& combo, const float* bias,
-                std::size_t* hist) {
+void count_pass(const PpvCombo& combo, const double* bias, double* out) {
   const long long n = combo.n;
   const float* const nsum = combo.nsum;
   const float* const xa = combo.x3 + combo.sa;
@@ -91,7 +89,7 @@ void count_pass(const PpvCombo& combo, const float* bias,
   __m512i c[M];
 #pragma GCC unroll 8
   for (int k = 0; k < M; ++k) {
-    b[k] = _mm512_set1_ps(bias[k]);
+    b[k] = _mm512_set1_ps(static_cast<float>(bias[k]));
     c[k] = _mm512_setzero_si512();
   }
   // The last n % 16 elements first, so the main loop needs no mask.
@@ -126,37 +124,28 @@ void count_pass(const PpvCombo& combo, const float* bias,
     }
   }
 #pragma GCC unroll 8
-  for (int k = 0; k < M; ++k) hist[k] = sum_epi32(c[k]);
+  for (int k = 0; k < M; ++k) {
+    out[k] = static_cast<double>(sum_epi32(c[k])) * combo.inv_n;
+  }
 }
 
 // Widest pass: eight broadcast and eight counter registers stay resident,
-// so each convolution vector is shared by up to 128 element-threshold
+// so each convolution vector is shared by up to 128 element-bias
 // compares.
 constexpr std::size_t kMaxPassWidth = 8;
-using CountPassFn = void (*)(const PpvCombo&, const float*, std::size_t*);
+using CountPassFn = void (*)(const PpvCombo&, const double*, double*);
 constexpr CountPassFn kCountPass[kMaxPassWidth] = {
     &count_pass<1>, &count_pass<2>, &count_pass<3>, &count_pass<4>,
     &count_pass<5>, &count_pass<6>, &count_pass<7>, &count_pass<8>,
 };
 
-// One pass per group of up to eight thresholds, each recomputing the
-// three adds, so the default model's five biases per combo cost a
-// single pass over the series.
-void ppv_count_avx512(const PpvCombo& c, std::size_t* hist, float* conv,
-                      double* out) {
-  // Same crossover as the AVX2 backend: degenerate huge bias counts
-  // favour the O(n log bpc) scalar search.  Identical exact integers
-  // either way.
-  if (c.bpc > 128) {
-    scalar_ppv_count(c, hist, conv, out);
-    return;
-  }
+// One pass per group of up to eight biases, each recomputing the three
+// adds, so the default model's five biases per combo cost a single pass
+// over the series.
+void ppv_count_avx512(const PpvCombo& c, float* /*conv*/, double* out) {
   for (std::size_t t = 0; t < c.bpc; t += kMaxPassWidth) {
     const std::size_t m = std::min(c.bpc - t, kMaxPassWidth);
-    kCountPass[m - 1](c, c.pad_bias + t, hist + t);
-  }
-  for (std::size_t q = 0; q < c.bpc; ++q) {
-    out[q] = static_cast<double>(hist[c.rank[q]]) * c.inv_n;
+    kCountPass[m - 1](c, c.bias + t, out + t);
   }
 }
 

@@ -1,15 +1,13 @@
 // Scalar kernel backend: the always-compiled portable fallback and the
 // bit-identity reference every SIMD table is differentially tested
 // against.  The nine-tap sum reads the zero-padded float copy with no
-// edge path; PPV counting writes the padded float convolution and runs
-// a cmov binary search per element over the float biases; Gram blocks
-// run a 2x2 register tile.  This TU is built -O3 like the old
-// minirocket.cpp so the branch-free loops auto-vectorize.  It also holds
-// kernel_conv, the exact convolution that fit and max pooling call
-// directly.
+// edge path; PPV counting writes the padded float convolution and then
+// counts four biases per pass over it; Gram blocks run a 2x2 register
+// tile.  This TU is built -O3 like the old minirocket.cpp so the
+// branch-free loops auto-vectorize.  It also holds kernel_conv, the
+// exact convolution that fit and max pooling call directly.
 #include <algorithm>
-#include <array>
-#include <utility>
+#include <cstdint>
 
 #include "backend/kernels.hpp"
 #include "backend/kernels_detail.hpp"
@@ -23,42 +21,53 @@ void nine_tap_sum_scalar(const float* x, long long n, long long d,
   detail::nine_tap_padded(x, d, 0, n, sum);
 }
 
-// One compile-time-width binary search per element (the fixed trip
-// count makes GCC lower every step to a conditional move; a
-// runtime-width loop is ~5x slower), a histogram over the per-element
-// ranks, and a suffix fold into exceedance counts.  Counts are integers,
-// so features match any other evaluation order bit-for-bit — including
-// NaN (compares below every bias, lands in bucket 0) and +/-inf.
-template <int kSteps>
-std::size_t ppv_search(const float* pad_bias, float v) noexcept {
-  std::size_t j = 0;
-  for (int s = kSteps - 1; s >= 0; --s) {
-    const std::size_t w = std::size_t{1} << s;
-    j += (pad_bias[j + w - 1] < v) ? w : 0;
-  }
-  return j;  // +inf sentinels never compare < v, so j <= bpc always
-}
-
-template <int kSteps>
-void ppv_search_count(const float* conv, const PpvCombo& c,
-                      std::size_t* hist) {
-  const long long n = c.n;
-  const float* const pad_bias = c.pad_bias;
-  std::fill(hist, hist + c.bpc + 1, std::size_t{0});
+// Exceedance counts of M biases in one pass over the convolution:
+// out[k] = #{i : conv[i] > float(bias[k])} * inv_n.  The M counters are
+// independent integer sums, so GCC vectorizes the pass into packed
+// compares; the counts are exact, so the lane order cannot change them.
+// Four biases per pass share each load: one per pass ran
+// bench_primitives' 30-bias shape slower than a per-element binary
+// search over sorted biases.  `>` is false on NaN, as in every table.
+// A 32-bit counter overflows only past 2^32 elements (a 32 GiB series
+// of doubles).
+template <int M>
+void count_pass(const float* conv, long long n, const double* bias,
+                double inv_n, double* out) {
+  float b[M];
+  std::uint32_t count[M] = {};
+  for (int k = 0; k < M; ++k) b[k] = static_cast<float>(bias[k]);
   for (long long i = 0; i < n; ++i) {
-    ++hist[ppv_search<kSteps>(pad_bias, conv[i])];
+    const float v = conv[i];
+    for (int k = 0; k < M; ++k) count[k] += v > b[k] ? 1u : 0u;
   }
+  for (int k = 0; k < M; ++k) out[k] = static_cast<double>(count[k]) * inv_n;
 }
 
-// steps -> specialized search.  Index 0 is unused (bpc >= 1 forces at
-// least one step).
-using SearchCountFn = void (*)(const float*, const PpvCombo&, std::size_t*);
+constexpr std::size_t kMaxPassWidth = 4;
+using CountPassFn = void (*)(const float*, long long, const double*, double,
+                             double*);
+constexpr CountPassFn kCountPass[kMaxPassWidth] = {
+    &count_pass<1>, &count_pass<2>, &count_pass<3>, &count_pass<4>};
 
-template <std::size_t... kSteps>
-constexpr std::array<SearchCountFn, sizeof...(kSteps)> make_search_table(
-    std::index_sequence<kSteps...>) {
-  return {(kSteps == 0 ? nullptr
-                       : &ppv_search_count<kSteps == 0 ? 1 : kSteps>)...};
+void ppv_count_scalar(const PpvCombo& c, float* conv, double* out) {
+  // The padded convolution in one branch-free pass, stored once for
+  // every counting pass to read.
+  const long long n = c.n;
+  const float* const nsum = c.nsum;
+  const float* const xa = c.x3 + c.sa;
+  const float* const xb = c.x3 + c.sb;
+  const float* const xc = c.x3 + c.sc;
+  for (long long i = 0; i < n; ++i) {
+    float v = nsum[i];
+    v += xa[i];
+    v += xb[i];
+    v += xc[i];
+    conv[i] = v;
+  }
+  for (std::size_t t = 0; t < c.bpc; t += kMaxPassWidth) {
+    const std::size_t m = std::min(c.bpc - t, kMaxPassWidth);
+    kCountPass[m - 1](conv, n, c.bias + t, c.inv_n, out + t);
+  }
 }
 
 double dot_scalar(const double* a, const double* b, std::size_t n) {
@@ -92,38 +101,6 @@ void gram_micro_scalar(const double* const* a, const double* const* b,
 
 }  // namespace
 
-void scalar_ppv_count(const PpvCombo& c, std::size_t* hist, float* conv,
-                      double* out) {
-  // The padded convolution in one branch-free pass; fusing it into the
-  // search loop measured slower.
-  const long long n = c.n;
-  const float* const nsum = c.nsum;
-  const float* const xa = c.x3 + c.sa;
-  const float* const xb = c.x3 + c.sb;
-  const float* const xc = c.x3 + c.sc;
-  for (long long i = 0; i < n; ++i) {
-    float v = nsum[i];
-    v += xa[i];
-    v += xb[i];
-    v += xc[i];
-    conv[i] = v;
-  }
-  static constexpr auto kSearch =
-      make_search_table(std::make_index_sequence<kMaxPpvSearchSteps + 1>{});
-  kSearch[c.steps](conv, c, hist);
-  // Suffix fold: the count for sorted bias t is #elements with rank > t.
-  std::size_t count_above = 0;
-  std::size_t carry = hist[c.bpc];
-  for (std::size_t t = c.bpc; t-- > 0;) {
-    count_above += carry;
-    carry = hist[t];
-    hist[t] = count_above;
-  }
-  for (std::size_t q = 0; q < c.bpc; ++q) {
-    out[q] = static_cast<double>(hist[c.rank[q]]) * c.inv_n;
-  }
-}
-
 void kernel_conv(const float* x3, long long n, const float* sum9, int k0,
                  int k1, int k2, long long d, float* conv) {
   const long long shift[3] = {static_cast<long long>(k0 - 4) * d,
@@ -156,7 +133,7 @@ const KernelTable& scalar_kernel_table() noexcept {
       Isa::kScalar,
       "scalar",
       &nine_tap_sum_scalar,
-      &scalar_ppv_count,
+      &ppv_count_scalar,
       &dot_scalar,
       &axpy_scalar,
       &detail::gram_block<kGramRows, kGramCols, &gram_micro_scalar>,

@@ -29,9 +29,9 @@
 //     +0.0f for an out-of-range tap where the oracle skips it: the two
 //     convolutions differ only in the sign of a zero, which no
 //     `conv > bias` compare can see.
-//   * Each bias is rounded to float once, when the index is built, and
-//     compared as float; the counts are exact integers, and a feature is
-//     count * (1.0 / n) in double.
+//   * Every table counts each bias directly from the model's stored
+//     double, rounded to float where it is compared; the counts are
+//     exact integers, and a feature is count * (1.0 / n) in double.
 //   * kernel_conv, the exact skip-the-tap float convolution, serves fit
 //     (whose bias quantiles are convolution values) and max pooling
 //     (which emits one as a feature).  It is scalar only, outside the
@@ -47,7 +47,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -84,25 +83,18 @@ struct PpvCombo {
   long long n = 0;
   // Tap shifts (k - 4) * d of the kernel's three +2 taps, ascending.
   long long sa = 0, sb = 0, sc = 0;
-  // The combo's biases rounded to float in ascending order, +inf padded
-  // to 2^steps - 1 slots, and each original quantile's position among
-  // them.
-  const float* pad_bias = nullptr;
-  const std::uint32_t* rank = nullptr;
+  // The combo's bpc biases as the model stores them, in quantile order.
+  const double* bias = nullptr;
   std::size_t bpc = 0;
-  std::size_t steps = 0;
   double inv_n = 0.0;
 };
 
-// PPV features of one combo: out[q] = #{i : conv[i] > bias_q} * inv_n
-// for its bpc biases, in original quantile order.  `hist` holds bpc + 1
-// counts.  `conv` holds n floats; the scalar table writes the
-// convolution there and runs a branch-free binary search per element
-// over `pad_bias`, while the AVX2 (8 lanes) and AVX-512 (16 lanes)
-// tables build it in registers and count exceedances directly on
-// 32-bit lane counters.
-using PpvCountFn = void (*)(const PpvCombo& combo, std::size_t* hist,
-                            float* conv, double* out);
+// PPV features of one combo: out[q] = #{i : conv[i] > float(bias[q])} *
+// inv_n for its bpc biases, in quantile order.  `conv` holds n floats;
+// the scalar table writes the convolution there and counts four biases
+// per pass over it, while the AVX2 (8 lanes) and AVX-512 (16 lanes)
+// tables build it in registers and count on 32-bit lane counters.
+using PpvCountFn = void (*)(const PpvCombo& combo, float* conv, double* out);
 
 // Width-4 striped dot product: four independent accumulators over
 // 4-element blocks (acc_l += a[i+l]*b[i+l], multiply then add, never
@@ -137,11 +129,6 @@ struct KernelTable {
   AxpyFn axpy = nullptr;
   GramBlockFn gram_block = nullptr;
 };
-
-// Widest supported number of binary-search steps in ppv_count (the bias
-// pad stride is 2^steps - 1; 20 steps cover over a million quantiles per
-// combo, three orders of magnitude beyond any realistic budget).
-inline constexpr std::size_t kMaxPpvSearchSteps = 20;
 
 // Completes one MiniRocket kernel from the nine-tap sum with the
 // oracle's exact float operation order:

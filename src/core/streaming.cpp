@@ -249,10 +249,7 @@ std::optional<AuthResult> StreamingAuthenticator::poll() {
     return finish_attempt(make_reject(RejectReason::kTimeout));
   }
 
-  std::size_t expected = options_.expected_keystrokes;
-  if (expected == 0) {
-    expected = user_.pin.empty() ? 4 : user_.pin.length();
-  }
+  const std::size_t expected = user_.pin.empty() ? 4 : user_.pin.length();
   if (entry_.events.size() < expected) return std::nullopt;
 
   // Wait for the artifact tail after the final keystroke.

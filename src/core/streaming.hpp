@@ -43,9 +43,6 @@ struct StreamingOptions {
   // the attempt's first push, so both a runaway stream and a stalled one
   // hit the limit.
   double timeout_s = 30.0;
-  // Keystrokes expected per attempt; 0 = derive from the enrolled PIN
-  // (or 4 in no-PIN mode).
-  std::size_t expected_keystrokes = 0;
   // Monotonic clock in seconds.  Empty = std::chrono::steady_clock.
   // Injectable so tests and simulations can drive stalled-stream
   // timeouts and lockout backoff deterministically.

@@ -94,8 +94,8 @@ MappedUser parse_user_record(std::span<const std::uint8_t> record,
 // truncation, a bad trailer tag, or a checksum mismatch.
 void verify_record_crc(std::span<const std::uint8_t> record);
 
-// Deep-copies a view into an owning EnrolledUser, rebuilding the derived
-// MiniRocket search index via the from_parts validators.
+// Deep-copies a view into an owning EnrolledUser through the from_parts
+// validators.
 core::EnrolledUser materialize_user(const MappedUser& view);
 
 // ---- eager stream / file round trips ----------------------------------

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -70,14 +70,13 @@ MiniRocket MiniRocket::from_parts(MiniRocketOptions options,
     throw util::SerializeError(util::SerializeErrc::kBadValue,
                                "MiniRocket::from_parts: non-finite bias");
   }
-  // The index compares each bias rounded to float; one beyond float's
+  // Transform compares each bias rounded to float; one beyond float's
   // range would round to an infinity that fit can never produce.
   if (!all_finite_as_float(rocket.biases_)) {
     throw util::SerializeError(
         util::SerializeErrc::kBadValue,
         "MiniRocket::from_parts: bias beyond float range");
   }
-  rocket.build_bias_index();
   return rocket;
 }
 
@@ -131,8 +130,7 @@ const std::vector<std::array<int, 3>>& minirocket_kernels() {
 // zeros cannot change a count.
 // ---------------------------------------------------------------------------
 
-void TransformScratch::reserve(std::size_t input_length, std::size_t padding,
-                               std::size_t biases_per_combo) {
+void TransformScratch::reserve(std::size_t input_length, std::size_t padding) {
   // Grow-only: buffers keep their high-water size, so a warm scratch
   // never reallocates and the gauge below only fires on growth.
   bool grew = false;
@@ -147,20 +145,13 @@ void TransformScratch::reserve(std::size_t input_length, std::size_t padding,
     x3.resize(input_length + 2 * padding);
     grew = true;
   }
-  // +1: the counting histogram has one bucket per "number of sorted
-  // biases below the element" outcome, which ranges 0..biases_per_combo.
-  if (counts.size() < biases_per_combo + 1) {
-    counts.resize(biases_per_combo + 1);
-    grew = true;
-  }
   if (grew) obs::set_gauge("minirocket.scratch_bytes", bytes());
 }
 
 std::size_t TransformScratch::bytes() const noexcept {
   return (sum9.capacity() + conv.capacity() + sorted.capacity() +
           xf.capacity() + x3.capacity()) *
-             sizeof(float) +
-         counts.capacity() * sizeof(std::size_t);
+         sizeof(float);
 }
 
 TransformScratch& thread_transform_scratch() noexcept {
@@ -192,7 +183,6 @@ void MiniRocket::fit(const std::vector<Series>& train, util::Rng& rng) {
     biases_.clear();
     throw std::invalid_argument("MiniRocket::fit: non-finite bias");
   }
-  build_bias_index();
 }
 
 MiniRocket::FitPlan MiniRocket::plan_fit(std::span<const Series* const> train,
@@ -373,57 +363,6 @@ void MiniRocket::fit_dilation(const FitPlan& plan, std::size_t di) {
   }
 }
 
-void MiniRocket::build_bias_index() {
-  if (options_.pooling != Pooling::kPpv) {
-    sorted_biases_.clear();
-    bias_rank_.clear();
-    bias_search_steps_ = 0;
-    bias_pad_stride_ = 0;
-    return;
-  }
-  // Pad every combo to 2^steps - 1 slots so the scalar search can run a
-  // fixed number of steps; +inf sentinels never compare < any probe, so
-  // they are invisible to the counts.
-  bias_search_steps_ = 1;
-  while (((std::size_t{1} << bias_search_steps_) - 1) < biases_per_combo_) {
-    ++bias_search_steps_;
-  }
-  // The scalar counting kernel dispatches on the step count; a wider
-  // search could only come from an absurd feature budget or a corrupted
-  // model stream, and silently indexing past the dispatch range in the
-  // backend would be an out-of-bounds read.
-  if (bias_search_steps_ > backend::kMaxPpvSearchSteps) {
-    throw std::invalid_argument(
-        "MiniRocket: biases_per_combo exceeds the supported maximum");
-  }
-  bias_pad_stride_ = (std::size_t{1} << bias_search_steps_) - 1;
-  const std::size_t combos = biases_.size() / biases_per_combo_;
-  sorted_biases_.assign(combos * bias_pad_stride_,
-                        std::numeric_limits<float>::infinity());
-  bias_rank_.assign(biases_.size(), 0);
-  std::vector<float> b(biases_per_combo_);
-  std::vector<std::uint32_t> order(biases_per_combo_);
-  for (std::size_t combo = 0; combo < combos; ++combo) {
-    // Fit writes float-valued biases; a store written before the
-    // float32 transform holds doubles, which round here once.
-    for (std::size_t q = 0; q < biases_per_combo_; ++q) {
-      b[q] = static_cast<float>(biases_[combo * biases_per_combo_ + q]);
-      order[q] = static_cast<std::uint32_t>(q);
-    }
-    // Ties get arbitrary-but-stable positions; equal biases have equal
-    // counts, so any tie order produces the same features.
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t x, std::uint32_t y) {
-                       return b[x] < b[y];
-                     });
-    for (std::size_t t = 0; t < biases_per_combo_; ++t) {
-      sorted_biases_[combo * bias_pad_stride_ + t] = b[order[t]];
-      bias_rank_[combo * biases_per_combo_ + order[t]] =
-          static_cast<std::uint32_t>(t);
-    }
-  }
-}
-
 std::size_t MiniRocket::num_features() const noexcept {
   return biases_.size();
 }
@@ -434,7 +373,7 @@ MiniRocket::Padded MiniRocket::prepare(const double* x,
       *std::max_element(dilations_.begin(), dilations_.end());
   const auto padding =
       static_cast<std::size_t>(backend::ppv_padding(max_dilation));
-  scratch.reserve(input_length_, padding, biases_per_combo_);
+  scratch.reserve(input_length_, padding);
   // Each sample rounds to float once; 3.0f * xf[i] is the product the
   // oracle forms for every tap that reads x[i], and the zeros stand in
   // for the taps it skips.
@@ -478,7 +417,6 @@ void MiniRocket::transform_tile(const Padded& in, std::size_t di,
   combo.nsum = sum9;
   combo.n = n;
   combo.bpc = biases_per_combo_;
-  combo.steps = bias_search_steps_;
   combo.inv_n = 1.0 / static_cast<double>(input_length_);
   for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
     const std::array<int, 3>& k = kernels[ki];
@@ -486,10 +424,8 @@ void MiniRocket::transform_tile(const Padded& in, std::size_t di,
     combo.sb = (k[1] - 4) * d;
     combo.sc = (k[2] - 4) * d;
     const std::size_t c = ki * num_dilations + di;
-    combo.pad_bias = sorted_biases_.data() + c * bias_pad_stride_;
-    combo.rank = bias_rank_.data() + c * biases_per_combo_;
-    kt.ppv_count(combo, scratch.counts.data(), scratch.conv.data(),
-                 row + c * biases_per_combo_);
+    combo.bias = biases_.data() + c * biases_per_combo_;
+    kt.ppv_count(combo, scratch.conv.data(), row + c * biases_per_combo_);
   }
 }
 
@@ -628,7 +564,6 @@ void MultiChannelMiniRocket::fit(
           "MultiChannelMiniRocket::fit: non-finite bias");
     }
   }
-  for (MiniRocket& mr : per_channel_) mr.build_bias_index();
 }
 
 std::size_t MultiChannelMiniRocket::num_features() const {

@@ -41,13 +41,14 @@
 // same float convolution and rounds each interpolated bias to float
 // once, so a training example ties with its own biases exactly as it
 // does in transform.  Biases stay stored as doubles (P2MDL001 keeps its
-// bytes): a store written before the float32 transform holds
-// double-valued biases, which round to float when the index is built,
-// and from_parts rejects a finite bias beyond float's range.
+// bytes), and transform reads exactly those: every kernel table rounds
+// each bias to float where it compares it, so the double-valued biases
+// of a store written before the float32 transform round there too.
+// from_parts rejects a finite bias beyond float's range.
 #pragma once
 
 #include <array>
-#include <cstdint>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -96,13 +97,11 @@ struct TransformScratch {
   std::vector<float> sorted;  // fit-time quantile selection (or sort) copy
   std::vector<float> xf;      // the series in float, zero-padded both sides
   std::vector<float> x3;      // 3.0f times that copy, zero-padded both sides
-  std::vector<std::size_t> counts;  // fused PPV tallies (one per quantile)
 
   // Grows the buffers to serve series of `input_length` whose float
-  // copies carry `padding` zeros on each side, with `biases_per_combo`
-  // quantiles; no-op (and allocation-free) when they already suffice.
-  void reserve(std::size_t input_length, std::size_t padding,
-               std::size_t biases_per_combo);
+  // copies carry `padding` zeros on each side; no-op (and
+  // allocation-free) when they already suffice.
+  void reserve(std::size_t input_length, std::size_t padding);
   // Current heap footprint of the buffers, for the
   // `minirocket.scratch_bytes` gauge.
   std::size_t bytes() const noexcept;
@@ -177,9 +176,8 @@ class MiniRocket {
   // point of the P2MDL001 reader in src/io/.  Validates the shape
   // invariants (every dilation d in [1, input_length / 8), finite
   // biases inside float's range, kernel-count consistency) and throws
-  // util::SerializeError on any inconsistency; on success rebuilds the
-  // derived PPV search index exactly as fit does, rounding each bias to
-  // float.
+  // util::SerializeError on any inconsistency.  The result holds
+  // exactly the parts it was given; nothing is derived from them.
   static MiniRocket from_parts(MiniRocketOptions options,
                                std::size_t input_length,
                                std::vector<int> dilations,
@@ -187,21 +185,6 @@ class MiniRocket {
                                std::vector<double> biases);
 
  private:
-  // Derived PPV counting index (not stored; rebuilt by fit/from_parts).
-  // The scalar backend counts "conv[i] > bias_q" for all quantiles of a
-  // combo in one binary-search pass per element over the combo's
-  // *sorted* float biases — O(n log q) instead of the scan's O(n q); the
-  // SIMD backends count groups of consecutive sorted biases directly.
-  // Both map the per-sorted-position counts back through `bias_rank_`.
-  // Counts are exact integers, so the features stay bit-identical to the
-  // scan.
-  //
-  // Each combo's sorted biases are padded to a power-of-two-minus-one
-  // stride with +inf sentinels so the search runs a fixed, compile-time
-  // number of conditional-move steps (branch-free: sentinels compare
-  // false against every probe, including +inf and NaN).
-  void build_bias_index();
-
   // Bias slot q of every combo interpolates the sorted convolution:
   // sorted[lo] * (1 - frac) + sorted[hi] * frac.
   struct BiasQuantile {
@@ -225,7 +208,7 @@ class MiniRocket {
   // dilation order, and lays out the quantile ranks once for the whole
   // fit.  fit_dilation computes the bias quantiles of dilation `di`'s 84
   // combos and writes only their slots, so distinct dilations may fit
-  // concurrently.  build_bias_index() completes the fit.
+  // concurrently.
   FitPlan plan_fit(std::span<const Series* const> train, util::Rng& rng);
   void fit_dilation(const FitPlan& plan, std::size_t di);
   friend class MultiChannelMiniRocket;
@@ -251,14 +234,6 @@ class MiniRocket {
   // biases_[combo * biases_per_combo_ + q] where combo = kernel-major
   // (kernel index * num_dilations + dilation index).
   std::vector<double> biases_;
-  // Per-combo ascending float biases (stride `bias_pad_stride_`, +inf
-  // padded) and the original-q -> sorted-position map (stride
-  // biases_per_combo_).
-  std::vector<float> sorted_biases_;
-  std::vector<std::uint32_t> bias_rank_;
-  // Search geometry: bias_pad_stride_ = 2^bias_search_steps_ - 1 >= bpc.
-  std::size_t bias_search_steps_ = 0;
-  std::size_t bias_pad_stride_ = 0;
 };
 
 // Multi-channel convenience wrapper: one independent MiniRocket per

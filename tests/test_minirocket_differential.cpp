@@ -275,9 +275,8 @@ TEST(MiniRocketDifferential, BatchMatchesReferenceAcrossThreadCounts) {
 }
 
 // Models that arrive through the model store (the deployment path:
-// from_parts rebuilds the search index from the stored parts) must
-// transform identically to the freshly fitted instance through both
-// engines.
+// from_parts adopts the stored parts) must transform identically to the
+// freshly fitted instance through both engines.
 TEST(MiniRocketDifferential, ReloadedModelStaysBitIdentical) {
   for (const backend::Isa isa : backend::available_isas()) {
     ForcedBackend forced(isa);
@@ -335,11 +334,15 @@ TEST(MiniRocketDifferential, NonFiniteInputsAgreeWithReference) {
   }
 }
 
-// Every width of the SIMD exceedance-counting pass.  At length 90 (four
+// Every width of the exceedance-counting pass.  At length 90 (four
 // dilations, 336 combos) a budget of 336 * b features gives exactly b
 // biases per combo, so b = 1..17 covers every AVX-512 pass width (1-7
 // alone, 8 as one full group, 9-17 as one or two full groups plus a
-// remainder) and every AVX2 width (1-5, 6, and 7-17 across groups).
+// remainder), every AVX2 width (1-5, 6, and 7-17 across groups) and
+// every scalar width (1-3, 4, and 5-17 across groups).  b = 119 is the
+// most biases per combo the default 9996-feature budget yields (one
+// dilation, series of 9-16 samples); b = 129 goes past 128, which no
+// other test reaches.
 // Integer-valued training and probe series make conv outputs tie with
 // the fitted biases, so the strict `>` is exercised; the probes also
 // carry NaN, +/-inf and -0.0.  Integer-valued fits produce biases of
@@ -357,7 +360,11 @@ TEST(MiniRocketDifferential, EveryCountingWidthBitIdenticalWithSpecials) {
     for (double& v : x) v = std::round(2.0 * rng.normal());
     return x;
   };
-  for (std::size_t bpc = 1; bpc <= 17; ++bpc) {
+  std::vector<std::size_t> widths;
+  for (std::size_t bpc = 1; bpc <= 17; ++bpc) widths.push_back(bpc);
+  widths.push_back(119);
+  widths.push_back(129);
+  for (const std::size_t bpc : widths) {
     MiniRocketOptions options;
     options.num_features = kCombos * bpc;
     MiniRocket model(options);
