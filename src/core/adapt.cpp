@@ -40,25 +40,6 @@ double median_decision(const WaveformModel& model,
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-void fold_segments_by_key(
-    const ExtractedEntry& e,
-    std::array<std::vector<std::vector<Series>>, 10>& out) {
-  const std::size_t n =
-      std::min(e.segments.size(), e.segment_digits.size());
-  for (std::size_t s = 0; s < n; ++s) {
-    const char digit = e.segment_digits[s];
-    if (digit < '0' || digit > '9') continue;
-    out[static_cast<std::size_t>(digit - '0')].push_back(e.segments[s]);
-  }
-}
-
-std::array<std::vector<std::vector<Series>>, 10> segments_by_key(
-    const std::vector<ExtractedEntry>& entries) {
-  std::array<std::vector<std::vector<Series>>, 10> out;
-  for (const ExtractedEntry& e : entries) fold_segments_by_key(e, out);
-  return out;
-}
-
 // Smallest clean cut `c` such that exactly k of `scores` are >= c
 // (midpoint between the bordering scores, so the count is stable against
 // floating-point re-association).
@@ -103,11 +84,12 @@ TemplateAdapter::TemplateAdapter(EnrolledUser user,
         "TemplateAdapter: third-party negative pool required (retrain "
         "negatives + poisoning-guard probe set)");
   }
-  anchor_entries_ =
+  const std::vector<ExtractedEntry> anchors =
       extract_observations(enrollment_anchors, options_.enrollment);
-  anchor_fulls_.reserve(anchor_entries_.size());
-  for (const ExtractedEntry& entry : anchor_entries_) {
+  anchor_fulls_.reserve(anchors.size());
+  for (const ExtractedEntry& entry : anchors) {
     anchor_fulls_.push_back(entry.full);
+    add_key_segments(entry, anchor_segments_);
   }
   // Enrollment-time operating-point reference: the median decision of
   // the enrolled model over its own anchors.  Every refresh is
@@ -119,12 +101,10 @@ TemplateAdapter::TemplateAdapter(EnrolledUser user,
   enrolled_anchor_margin_ = median_decision(*user_.full_model, anchor_fulls_);
   // The same fixed reference per committee member, over the enrolled
   // anchor segments of its key.
-  const std::array<std::vector<std::vector<Series>>, 10> anchor_segs =
-      segments_by_key(anchor_entries_);
   for (std::size_t k = 0; k < 10; ++k) {
     const std::optional<WaveformModel>& km = user_.key_models[k];
-    if (!km || !km->trained() || anchor_segs[k].empty()) continue;
-    enrolled_key_margin_[k] = median_decision(*km, anchor_segs[k]);
+    if (!km || !km->trained() || anchor_segments_[k].empty()) continue;
+    enrolled_key_margin_[k] = median_decision(*km, anchor_segments_[k]);
   }
 }
 
@@ -133,50 +113,21 @@ double TemplateAdapter::admission_margin() const {
 }
 
 AuthResult TemplateAdapter::attempt(const Observation& obs, Truth truth) {
-  if (stale_ && options_.reject_when_stale) {
-    // Pre-pipeline reject, same shape as the streaming layer's
-    // timeout/lockout rejects: decided without scoring, still audited.
+  ++stats_.attempts;
+  if (stale_) {
+    // Decided without scoring against models known to be bad.
     AuthResult result;
-    result.accepted = false;
     result.reason = RejectReason::kTemplateStale;
-    result.detected_case = DetectedCase::kRejected;
-    ++stats_.attempts;
     ++stats_.stale_rejects;
-    obs::add_counter("adapt.stale_reject");
-    audit_decision(user_.user_id, result);
+    commit_decision(user_.user_id, result);
     return result;
   }
 
   const AuthResult result = authenticate(user_, obs, options_.auth);
-  ++stats_.attempts;
-  feed_drift(result, truth);
+  feed_drift(drift_, result, truth);
   admit_if_eligible(obs, result);
   update_staleness();
   return result;
-}
-
-void TemplateAdapter::feed_drift(const AuthResult& result, Truth truth) {
-  if (result.channels_assessed > 0) {
-    drift_.observe_channels(result.channel_mask, result.channels_assessed);
-  }
-  const bool model_scored = result.model_path == ModelPath::kFullWaveform ||
-                            result.model_path == ModelPath::kBoost;
-  if (!model_scored) return;
-  switch (truth) {
-    case Truth::kGenuine:
-      drift_.observe_genuine(result.waveform_score);
-      break;
-    case Truth::kImposter:
-      drift_.observe_imposter(result.waveform_score);
-      break;
-    case Truth::kUnknown:
-      // Deployment label model (obs/drift.hpp): a model-scored attempt
-      // whose PIN factor passed is overwhelmingly likely genuine.
-      if (!result.pin_checked || result.pin_ok) {
-        drift_.observe_genuine(result.waveform_score);
-      }
-      break;
-  }
 }
 
 void TemplateAdapter::admit_if_eligible(const Observation& obs,
@@ -253,7 +204,7 @@ void TemplateAdapter::force_candidate(const Observation& obs) {
 
 void TemplateAdapter::update_staleness() {
   if (stale_) return;
-  if (attempts_since_admission_ < options_.stale_attempt_window) return;
+  if (attempts_since_admission_ < kStaleAttemptWindow) return;
   for (const obs::DriftAlert& alert : drift_.check()) {
     if (alert.kind == obs::DriftAlertKind::kEstimatedFrrRising) {
       stale_ = true;
@@ -392,35 +343,20 @@ void TemplateAdapter::refresh_key_models(std::size_t window_begin,
   // training set) plus the segments of the candidates that survived
   // re-validation under the *previous* committee — the chain of
   // admissions is what anchors the committee to the enrolled identity.
-  std::array<std::vector<std::vector<Series>>, 10> key_pos =
-      segments_by_key(anchor_entries_);
+  // Negatives follow enrollment's per-key recipe over the pool.
+  KeySegments key_pos = anchor_segments_;
   for (std::size_t i = window_begin; i < candidates_.size(); ++i) {
-    fold_segments_by_key(candidates_[i], key_pos);
+    add_key_segments(candidates_[i], key_pos);
   }
-  // Negatives mirror enrollment: same-key third-party segments first
-  // (the member separates *who* pressed the key), topped up with
-  // other-key segments when the pool is thin.
-  std::array<std::vector<std::vector<Series>>, 10> key_neg;
-  std::vector<std::vector<Series>> neg_any;
-  for (const ExtractedEntry& e : negative_pool_) {
-    fold_segments_by_key(e, key_neg);
-    const std::size_t n =
-        std::min(e.segments.size(), e.segment_digits.size());
-    for (std::size_t s = 0; s < n; ++s) neg_any.push_back(e.segments[s]);
-  }
-  const std::array<std::vector<std::vector<Series>>, 10> anchor_segs =
-      segments_by_key(anchor_entries_);
   for (std::size_t k = 0; k < 10; ++k) {
     std::optional<WaveformModel>& member = user_.key_models[k];
     // Committee membership is fixed at enrollment: refreshes replace
     // members, they never seat new ones.
-    if (!member || !member->trained()) continue;
-    if (key_pos[k].size() < 2 || anchor_segs[k].empty()) continue;
-    std::vector<std::vector<Series>> negatives = key_neg[k];
-    for (std::size_t i = 0; i < neg_any.size() && negatives.size() < 20;
-         ++i) {
-      negatives.push_back(neg_any[i]);
+    if (!member || !member->trained() || anchor_segments_[k].empty()) {
+      continue;
     }
+    const std::vector<std::vector<Series>> negatives =
+        key_model_negatives(k, key_pos[k].size(), negative_pool_);
     if (negatives.empty()) continue;
     WaveformModel trained;
     util::Rng key_rng = rng.fork(0x6b657900ULL + k);
@@ -437,7 +373,8 @@ void TemplateAdapter::refresh_key_models(std::size_t window_begin,
         std::vector<double>(neg_decisions.begin(), neg_decisions.end()),
         old_neg);
     const double delta_genuine =
-        median_decision(trained, anchor_segs[k]) - enrolled_key_margin_[k];
+        median_decision(trained, anchor_segments_[k]) -
+        enrolled_key_margin_[k];
     const double delta = std::max(delta_genuine, delta_pool);
     WaveformModel calibrated = WaveformModel::from_parts(
         trained.rocket(), trained.ridge(), trained.threshold() + delta);

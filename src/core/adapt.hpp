@@ -49,11 +49,14 @@
 // samples as the outgoing model.  Adaptation refreshes the features; the
 // deployed FAR budget never moves.
 //
-// Wiring: refreshes rebuild the user's drift-monitor ScoreBaseline from
-// the new model's LOO scores; staleness (drift alert + starved candidate
-// buffer) makes the adapter reject attempts with
-// RejectReason::kTemplateStale via the same audit_decision path the
-// streaming layer uses for its pre-pipeline rejects.
+// Wiring: every attempt feeds the drift monitor through core::feed_drift,
+// and refreshes rebuild the user's drift-monitor ScoreBaseline from the
+// new model's LOO scores.  Staleness (an FRR-rise drift alert after
+// kStaleAttemptWindow attempts without an admission) makes the adapter
+// reject attempts with RejectReason::kTemplateStale without scoring,
+// committed through core::commit_decision like every other decision.
+// Both the enrolled committee and its refreshes train on the one per-key
+// recipe of core/enrollment.hpp (key_model_negatives).
 #pragma once
 
 #include <array>
@@ -101,13 +104,11 @@ struct AdaptOptions {
   double consensus_fraction = 0.5;
   // Drift-monitor thresholds (staleness signal).
   obs::DriftOptions drift{};
-  // When the templates are declared stale, reject attempts with
-  // kTemplateStale instead of scoring against models known to be bad.
-  bool reject_when_stale = true;
-  // Genuine-side attempts with zero admissions after which a firing
-  // FRR-rise drift alert declares the templates stale.
-  std::size_t stale_attempt_window = 64;
 };
+
+// Attempts with zero admissions after which a firing FRR-rise drift
+// alert declares the templates stale.
+inline constexpr std::size_t kStaleAttemptWindow = 64;
 
 // Why the last try_refresh() did or did not replace the model.
 enum class RefreshOutcome {
@@ -142,7 +143,7 @@ class TemplateAdapter {
   // admission gates: the adapter must resist poisoning without an
   // oracle).  kUnknown treats PIN-passed model-scored attempts as
   // genuine, matching obs/drift's deployment label model.
-  enum class Truth { kUnknown, kGenuine, kImposter };
+  using Truth = DriftLabel;
 
   TemplateAdapter(EnrolledUser user,
                   std::vector<Observation> enrollment_anchors,
@@ -151,9 +152,9 @@ class TemplateAdapter {
 
   // Authenticates `obs` against the (possibly refreshed) user, feeds the
   // drift monitor, and admits high-margin accepted attempts into the
-  // candidate buffer.  When the templates are stale and
-  // reject_when_stale is set, returns a kTemplateStale reject without
-  // scoring and submits it to the decision flight recorder.
+  // candidate buffer.  While the templates are stale, returns a
+  // kTemplateStale reject without scoring, committed like a pipeline
+  // decision.
   AuthResult attempt(const Observation& obs, Truth truth = Truth::kUnknown);
 
   // Retrains the full-waveform model on anchors + buffered candidates if
@@ -196,7 +197,6 @@ class TemplateAdapter {
   };
 
   void admit_if_eligible(const Observation& obs, const AuthResult& result);
-  void feed_drift(const AuthResult& result, Truth truth);
   void update_staleness();
   void reseed_drift(obs::ScoreBaseline baseline);
   bool candidate_consensus(const ExtractedEntry& entry) const;
@@ -204,8 +204,9 @@ class TemplateAdapter {
   std::vector<std::vector<Series>> negative_fulls() const;
 
   EnrolledUser user_;
-  std::vector<ExtractedEntry> anchor_entries_;
+  // The enrollment anchors' full waveforms and their segments by key.
   std::vector<std::vector<Series>> anchor_fulls_;
+  KeySegments anchor_segments_;
   std::vector<ExtractedEntry> negative_pool_;
   AdaptOptions options_;
   obs::DriftMonitor drift_;

@@ -39,9 +39,42 @@ void record_outcome(const AuthResult& result) {
     obs::add_counter("auth.accept");
     return;
   }
-  static const auto kRejectCounters = reject_counter_names("auth.reject.");
+  static const auto kRejectCounters = reject_counter_names();
   obs::add_counter("auth.reject");
   obs::add_counter(kRejectCounters[audit_code(result.reason)]);
+}
+
+// Submits one decided attempt to the installed decision flight recorder;
+// no-op when none is installed.
+void audit_decision(std::uint32_t user_id, const AuthResult& result) {
+  obs::AuditRecorder* recorder = obs::audit_recorder();
+  if (recorder == nullptr) return;
+  obs::DecisionRecord record;
+  record.timestamp_us = obs::now_us();
+  record.user_id = user_id;
+  record.accepted = result.accepted ? 1 : 0;
+  record.pin_checked = result.pin_checked ? 1 : 0;
+  record.pin_ok = result.pin_ok ? 1 : 0;
+  record.reason = audit_code(result.reason);
+  record.model_path = audit_code(result.model_path);
+  record.detected_case = audit_code(result.detected_case);
+  const std::size_t votes =
+      std::min(result.votes.size(), obs::kAuditMaxVotes);
+  record.num_votes = static_cast<std::uint8_t>(votes);
+  for (std::size_t i = 0; i < votes && i < obs::kAuditMaxVotes; ++i) {
+    record.votes[i] = static_cast<std::int8_t>(result.votes[i]);
+  }
+  record.channels = result.channels_assessed;
+  record.channel_mask = result.channel_mask;
+  // Models are threshold-adjusted at training time, so every recorded
+  // score is compared against an accept boundary at 0.
+  record.score = static_cast<float>(result.waveform_score);
+  record.threshold = 0.0f;
+  record.pin_us = static_cast<float>(result.latencies.pin_us);
+  record.preprocess_us = static_cast<float>(result.latencies.preprocess_us);
+  record.model_us = static_cast<float>(result.latencies.model_us);
+  record.total_us = static_cast<float>(result.latencies.total_us);
+  recorder->record(record);
 }
 
 // Builds the per-key vote plan: one ScoringUnit per detected keystroke
@@ -354,6 +387,23 @@ void commit_decision(std::uint32_t user_id, const AuthResult& result) {
   audit_decision(user_id, result);
 }
 
+void feed_drift(obs::DriftMonitor& monitor, const AuthResult& result,
+                DriftLabel label) {
+  if (result.channels_assessed > 0) {
+    monitor.observe_channels(result.channel_mask, result.channels_assessed);
+  }
+  if (result.model_path != ModelPath::kFullWaveform &&
+      result.model_path != ModelPath::kBoost) {
+    return;
+  }
+  if (label == DriftLabel::kImposter) {
+    monitor.observe_imposter(result.waveform_score);
+  } else if (label == DriftLabel::kGenuine || !result.pin_checked ||
+             result.pin_ok) {  // kUnknown: the PIN-factor proxy
+    monitor.observe_genuine(result.waveform_score);
+  }
+}
+
 AuthResult authenticate(const EnrolledUser& user,
                         const Observation& observation,
                         const AuthOptions& options) {
@@ -374,37 +424,6 @@ AuthResult authenticate(const EnrolledUser& user,
   }
   commit_decision(user.user_id, result);
   return result;
-}
-
-void audit_decision(std::uint32_t user_id, const AuthResult& result) {
-  obs::AuditRecorder* recorder = obs::audit_recorder();
-  if (recorder == nullptr) return;
-  obs::DecisionRecord record;
-  record.timestamp_us = obs::now_us();
-  record.user_id = user_id;
-  record.accepted = result.accepted ? 1 : 0;
-  record.pin_checked = result.pin_checked ? 1 : 0;
-  record.pin_ok = result.pin_ok ? 1 : 0;
-  record.reason = audit_code(result.reason);
-  record.model_path = audit_code(result.model_path);
-  record.detected_case = audit_code(result.detected_case);
-  const std::size_t votes =
-      std::min(result.votes.size(), obs::kAuditMaxVotes);
-  record.num_votes = static_cast<std::uint8_t>(votes);
-  for (std::size_t i = 0; i < votes && i < obs::kAuditMaxVotes; ++i) {
-    record.votes[i] = static_cast<std::int8_t>(result.votes[i]);
-  }
-  record.channels = result.channels_assessed;
-  record.channel_mask = result.channel_mask;
-  // Models are threshold-adjusted at training time, so every recorded
-  // score is compared against an accept boundary at 0.
-  record.score = static_cast<float>(result.waveform_score);
-  record.threshold = 0.0f;
-  record.pin_us = static_cast<float>(result.latencies.pin_us);
-  record.preprocess_us = static_cast<float>(result.latencies.preprocess_us);
-  record.model_us = static_cast<float>(result.latencies.model_us);
-  record.total_us = static_cast<float>(result.latencies.total_us);
-  recorder->record(record);
 }
 
 }  // namespace p2auth::core

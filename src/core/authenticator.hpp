@@ -151,17 +151,28 @@ PreparedAuth prepare_authentication(const EnrolledUser& user,
 AuthResult finish_authentication(PreparedAuth prepared,
                                  std::span<const double> decisions);
 
-// Outcome bookkeeping `authenticate` runs last: obs decision counters
-// plus the decision flight recorder.  Also called for attempts decided
-// outside `authenticate` (the service's reject of an observation the
-// pipeline threw on).
+// Records one decided attempt exactly once: the `auth.*` obs counters
+// plus one record for the installed decision flight recorder (obs/audit).
+// `authenticate` runs it last; every front end calls it for the attempts
+// it decides without the pipeline: the streaming layer's timeout,
+// overflow and lockout rejects, the template adapter's stale-template
+// reject and the service's reject of an observation the pipeline threw
+// on.
 void commit_decision(std::uint32_t user_id, const AuthResult& result);
 
-// Submits one decided attempt to the installed decision flight recorder
-// (obs/audit); no-op when none is installed.  `authenticate` calls this
-// itself — it is exposed for call sites that decide attempts without
-// reaching the pipeline (the streaming layer's timeout/lockout/overflow
-// rejects).
-void audit_decision(std::uint32_t user_id, const AuthResult& result);
+// ---------------------------------------------------------------------------
+// Drift feed.
+
+// Who produced a decided attempt, as far as the drift monitor is told.
+// kUnknown is the deployment label model of obs/drift.hpp: a
+// model-scored attempt whose PIN factor passed counts as genuine (an
+// attacker without the PIN never reaches the model).
+enum class DriftLabel { kUnknown, kGenuine, kImposter };
+
+// Feeds one decided attempt to `monitor`: its channel-health view, and
+// its full/boost waveform score on the side `label` names.  Attempts no
+// waveform model scored feed the channel view only.
+void feed_drift(obs::DriftMonitor& monitor, const AuthResult& result,
+                DriftLabel label);
 
 }  // namespace p2auth::core

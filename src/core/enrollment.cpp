@@ -202,6 +202,34 @@ std::vector<ExtractedEntry> extract_observations(
   return out;
 }
 
+void add_key_segments(const ExtractedEntry& entry, KeySegments& by_key) {
+  for (std::size_t s = 0; s < entry.segments.size(); ++s) {
+    by_key[keystroke::key_index(entry.segment_digits[s])].push_back(
+        entry.segments[s]);
+  }
+}
+
+std::vector<std::vector<Series>> key_model_negatives(
+    std::size_t key, std::size_t positives,
+    const std::vector<ExtractedEntry>& pool) {
+  std::vector<std::vector<Series>> negatives;
+  if (positives < kMinKeyPositives) return negatives;
+  for (const ExtractedEntry& e : pool) {
+    for (std::size_t s = 0; s < e.segments.size(); ++s) {
+      if (keystroke::key_index(e.segment_digits[s]) == key) {
+        negatives.push_back(e.segments[s]);
+      }
+    }
+  }
+  for (const ExtractedEntry& e : pool) {
+    for (std::size_t s = 0;
+         s < e.segments.size() && negatives.size() < kKeyNegatives; ++s) {
+      negatives.push_back(e.segments[s]);
+    }
+  }
+  return negatives;
+}
+
 EnrolledUser enroll_user(const keystroke::Pin& pin,
                          const std::vector<Observation>& positives,
                          const std::vector<Observation>& negatives,
@@ -273,32 +301,18 @@ EnrolledUser enroll_user(const keystroke::Pin& pin,
 
   // --- Single-waveform models b_k (two-handed / no-PIN cases). ---
   if (config.train_single_models) {
-    // Group positive segments by digit; negatives for digit k prefer
-    // third-party segments of the same key (the classifier must separate
-    // *who* pressed the key, not *which* key), topped up with other-key
-    // segments when the pool is thin.
-    std::array<std::vector<std::vector<Series>>, 10> pos_by_key;
-    std::array<std::vector<std::vector<Series>>, 10> neg_by_key;
-    std::vector<std::vector<Series>> neg_any;
+    KeySegments pos_by_key;
     for (const auto& e : pos) {
-      for (std::size_t s = 0; s < e.segments.size(); ++s) {
-        pos_by_key[keystroke::key_index(e.segment_digits[s])].push_back(
-            e.segments[s]);
-        ++user.stats.segment_positives;
-      }
+      add_key_segments(e, pos_by_key);
+      user.stats.segment_positives += e.segments.size();
     }
     for (const auto& e : neg) {
-      for (std::size_t s = 0; s < e.segments.size(); ++s) {
-        neg_by_key[keystroke::key_index(e.segment_digits[s])].push_back(
-            e.segments[s]);
-        neg_any.push_back(e.segments[s]);
-        ++user.stats.segment_negatives;
-      }
+      user.stats.segment_negatives += e.segments.size();
     }
-    // First pass (serial): decide which keys have enough evidence, build
-    // their negative sets and fork their RNG streams — forking mutates
-    // the parent generator, so the fork order must stay exactly the
-    // serial one for reproducibility.
+    // First pass (serial): build the negative sets of the keys that
+    // train (key_model_negatives) and fork their RNG streams — forking
+    // mutates the parent generator, so the fork order must stay exactly
+    // the serial one for reproducibility.
     struct KeyTask {
       std::size_t key = 0;
       std::vector<std::vector<Series>> negatives;
@@ -306,12 +320,8 @@ EnrolledUser enroll_user(const keystroke::Pin& pin,
     };
     std::vector<KeyTask> tasks;
     for (std::size_t k = 0; k < 10; ++k) {
-      if (pos_by_key[k].size() < 2) continue;  // not enough evidence
-      std::vector<std::vector<Series>> n = neg_by_key[k];
-      // Top up with other-key negatives until reasonably balanced.
-      for (std::size_t i = 0; i < neg_any.size() && n.size() < 20; ++i) {
-        n.push_back(neg_any[i]);
-      }
+      std::vector<std::vector<Series>> n =
+          key_model_negatives(k, pos_by_key[k].size(), neg);
       if (n.empty()) continue;
       tasks.push_back(
           KeyTask{k, std::move(n), rng.fork(0x6b657900ULL + k)});

@@ -180,6 +180,25 @@ std::vector<ExtractedEntry> extract_observations(
     const std::vector<Observation>& observations,
     const EnrollmentConfig& config, std::size_t max_threads = 0);
 
+// Segments grouped by digit: slot k holds the segments typed on key k.
+using KeySegments = std::array<std::vector<std::vector<Series>>, 10>;
+
+// Appends each of `entry`'s segments to its digit's slot.
+void add_key_segments(const ExtractedEntry& entry, KeySegments& by_key);
+
+// The training recipe of the single-waveform model b_k, shared by
+// enrollment and the template adapter's committee refresh.  Digit `key`'s
+// model trains only with at least kMinKeyPositives positive segments.
+// Its negatives are `pool`'s segments of the same key (the model must
+// separate *who* pressed the key, not *which* key), topped up in pool
+// order with segments of any key to kKeyNegatives when the pool is thin.
+// Returns the negatives, or none when the model must not train.
+inline constexpr std::size_t kMinKeyPositives = 2;
+inline constexpr std::size_t kKeyNegatives = 20;
+std::vector<std::vector<Series>> key_model_negatives(
+    std::size_t key, std::size_t positives,
+    const std::vector<ExtractedEntry>& pool);
+
 // Enrolls a user from their own entries (`positives`) and the third-party
 // pool (`negatives`).  For the standard mode, positives should all enter
 // `pin`; for the no-PIN mode pass an empty `pin` and positives covering

@@ -75,22 +75,12 @@ UserOutcome evaluate_user(std::size_t user_index,
 
   // Oracle feed: the harness knows each attempt's true stream, so the
   // drift monitor gets ground-truth labels here (deployed code relies on
-  // the PIN-factor proxy instead, see core/streaming.cpp).
+  // the PIN-factor proxy instead, DriftLabel::kUnknown).
   const auto decided = [&](AttemptKind kind, const AuthResult& result) {
     if (outcome.drift) {
-      const bool scored = result.model_path == ModelPath::kFullWaveform ||
-                          result.model_path == ModelPath::kBoost;
-      if (scored) {
-        if (kind == AttemptKind::kLegitimate) {
-          outcome.drift->observe_genuine(result.waveform_score);
-        } else {
-          outcome.drift->observe_imposter(result.waveform_score);
-        }
-      }
-      if (result.channels_assessed > 0) {
-        outcome.drift->observe_channels(result.channel_mask,
-                                        result.channels_assessed);
-      }
+      feed_drift(*outcome.drift, result,
+                 kind == AttemptKind::kLegitimate ? DriftLabel::kGenuine
+                                                  : DriftLabel::kImposter);
     }
     if (config.on_decision) config.on_decision(user_index, kind, result);
   };

@@ -149,11 +149,11 @@ const char* detected_case_slug(DetectedCase c) noexcept {
   return "?";
 }
 
-std::array<std::string, kRejectReasonCodes> reject_counter_names(
-    std::string_view prefix) {
+std::array<std::string, kRejectReasonCodes> reject_counter_names() {
   std::array<std::string, kRejectReasonCodes> names;
   for (std::uint8_t code = 0; code < kRejectReasonCodes; ++code) {
-    names[code] = std::string(prefix) + reject_reason_slug_from_code(code);
+    names[code] = std::string("auth.reject.") +
+                  reject_reason_slug_from_code(code);
   }
   return names;
 }

@@ -38,7 +38,7 @@ StreamingAuthenticator::StreamingAuthenticator(const EnrolledUser& user,
   if (channels == 0) {
     throw std::invalid_argument("StreamingAuthenticator: need channels");
   }
-  if (options_.tail_s < 0.0 || options_.timeout_s <= 0.0) {
+  if (options_.timeout_s <= 0.0) {
     throw std::invalid_argument("StreamingAuthenticator: bad time limits");
   }
   if (options_.lockout_threshold > 0 &&
@@ -53,9 +53,6 @@ StreamingAuthenticator::StreamingAuthenticator(const EnrolledUser& user,
   trace_.rate_hz = rate_hz;
   trace_.channels.assign(channels, {});
   stats_.backend = backend::kernels().name;
-  if (options_.monitor_drift) {
-    drift_.emplace(user_.score_baseline, options_.drift);
-  }
 }
 
 double StreamingAuthenticator::now() const {
@@ -90,15 +87,7 @@ void StreamingAuthenticator::push_sample(std::span<const double> sample) {
     return;
   }
   for (std::size_t c = 0; c < channels_; ++c) {
-    double v = sample[c];
-    if (!std::isfinite(v)) {
-      // Ingest sanitisation: a non-finite reading never enters the
-      // buffer.  Previous-sample hold keeps the stream clock aligned.
-      v = trace_.channels[c].empty() ? 0.0 : trace_.channels[c].back();
-      ++stats_.nonfinite_values;
-      obs::add_counter("streaming.nonfinite_values");
-    }
-    trace_.channels[c].push_back(v);
+    trace_.channels[c].push_back(sample[c]);
   }
 }
 
@@ -139,73 +128,44 @@ void StreamingAuthenticator::reset() {
   overflowed_ = false;
 }
 
-AuthResult StreamingAuthenticator::make_reject(RejectReason reason) {
-  AuthResult result;
-  result.accepted = false;
-  result.reason = reason;
+AuthResult StreamingAuthenticator::finish_attempt(AuthResult result) {
+  ++stats_.attempts;
+  if (result.accepted) {
+    ++stats_.accepted;
+    consecutive_rejects_ = 0;
+    lockout_level_ = 0;
+    return result;
+  }
+  ++stats_.rejects_by_reason[result.reason];
+  // Lockout state machine: genuine rejections count toward the
+  // threshold; refusals issued *by* the lockout do not re-arm it.
+  if (options_.lockout_threshold > 0 &&
+      result.reason != RejectReason::kLockedOut &&
+      ++consecutive_rejects_ >= options_.lockout_threshold) {
+    const double backoff =
+        std::min(options_.lockout_max_s,
+                 options_.lockout_base_s *
+                     std::pow(2.0, static_cast<double>(lockout_level_)));
+    locked_ = true;
+    locked_until_ = now() + backoff;
+    ++lockout_level_;
+    consecutive_rejects_ = 0;
+    ++stats_.lockouts;
+    obs::add_counter("streaming.lockouts");
+  }
   return result;
 }
 
-AuthResult StreamingAuthenticator::finish_attempt(AuthResult result) {
-  ++stats_.attempts;
-  obs::add_counter("streaming.attempts");
-  // Streaming-only rejects (timeout/lockout/overflow) never reach
-  // authenticate(), which audits its own decisions; record them here so
-  // the flight recorder sees every decided attempt exactly once.
-  switch (result.reason) {
-    case RejectReason::kTimeout:
-    case RejectReason::kBufferOverflow:
-    case RejectReason::kLockedOut:
-    case RejectReason::kIncomplete:
-      audit_decision(user_.user_id, result);
-      break;
-    default:
-      break;
-  }
-  if (drift_) {
-    // Proxy labeling for deployment: an attempt that passed the PIN
-    // factor and was scored by a waveform model is overwhelmingly likely
-    // genuine (an attacker without the PIN never reaches the model).
-    if (result.pin_ok && (result.model_path == ModelPath::kFullWaveform ||
-                          result.model_path == ModelPath::kBoost)) {
-      drift_->observe_genuine(result.waveform_score);
-    }
-    if (result.channels_assessed > 0) {
-      drift_->observe_channels(result.channel_mask,
-                               result.channels_assessed);
-    }
-    stats_.drift_alerts += drift_->poll_new_alerts().size();
-  }
-  if (result.accepted) {
-    ++stats_.accepted;
-    obs::add_counter("streaming.accepted");
-    consecutive_rejects_ = 0;
-    lockout_level_ = 0;
-  } else {
-    ++stats_.rejects_by_reason[result.reason];
-    static const auto kRejectCounters =
-        reject_counter_names("streaming.reject.");
-    obs::add_counter("streaming.rejects");
-    obs::add_counter(kRejectCounters[audit_code(result.reason)]);
-    // Lockout state machine: genuine rejections count toward the
-    // threshold; refusals issued *by* the lockout do not re-arm it.
-    if (options_.lockout_threshold > 0 &&
-        result.reason != RejectReason::kLockedOut) {
-      if (++consecutive_rejects_ >= options_.lockout_threshold) {
-        const double backoff = std::min(
-            options_.lockout_max_s,
-            options_.lockout_base_s *
-                std::pow(2.0, static_cast<double>(lockout_level_)));
-        locked_ = true;
-        locked_until_ = now() + backoff;
-        ++lockout_level_;
-        consecutive_rejects_ = 0;
-        ++stats_.lockouts;
-        obs::add_counter("streaming.lockouts");
-      }
-    }
-  }
-  return result;
+AuthResult StreamingAuthenticator::reject_attempt(RejectReason reason) {
+  // Account for the dropped buffer before clearing it (the decide path
+  // hands its samples to the pipeline; a reject just drops them).
+  obs::add_counter("streaming.dropped_samples", trace_.length());
+  reset();
+  obs::set_gauge("streaming.buffer_samples", 0.0);
+  AuthResult result;
+  result.reason = reason;
+  commit_decision(user_.user_id, result);
+  return finish_attempt(std::move(result));
 }
 
 std::optional<AuthResult> StreamingAuthenticator::poll() {
@@ -215,21 +175,13 @@ std::optional<AuthResult> StreamingAuthenticator::poll() {
 
   // Lockout backoff: refuse the pending attempt outright.
   if (locked_out()) {
-    obs::add_counter("streaming.dropped_samples", trace_.length());
-    reset();
-    obs::set_gauge("streaming.buffer_samples", 0.0);
     ++stats_.lockout_rejects;
-    return finish_attempt(make_reject(RejectReason::kLockedOut));
+    return reject_attempt(RejectReason::kLockedOut);
   }
 
   // Buffer overflow: the attempt already lost samples; no sound decision
   // can be made from a truncated trace.
-  if (overflowed_) {
-    obs::add_counter("streaming.dropped_samples", trace_.length());
-    reset();
-    obs::set_gauge("streaming.buffer_samples", 0.0);
-    return finish_attempt(make_reject(RejectReason::kBufferOverflow));
-  }
+  if (overflowed_) return reject_attempt(RejectReason::kBufferOverflow);
 
   // Attempt age is the larger of stream time and monotonic-clock time
   // since the first push: a runaway stream trips the former, a stalled
@@ -239,14 +191,8 @@ std::optional<AuthResult> StreamingAuthenticator::poll() {
       std::max(buffered_seconds(),
                attempt_open_ ? now() - attempt_start_ : 0.0);
   if (age > options_.timeout_s) {
-    // Account for the dropped buffer before clearing it (the decide path
-    // hands its samples to the pipeline; the timeout path just drops).
-    obs::add_counter("streaming.dropped_samples", trace_.length());
-    reset();
-    obs::set_gauge("streaming.buffer_samples", 0.0);
     ++stats_.timeouts;
-    obs::add_counter("streaming.timeouts");
-    return finish_attempt(make_reject(RejectReason::kTimeout));
+    return reject_attempt(RejectReason::kTimeout);
   }
 
   const std::size_t expected = user_.pin.empty() ? 4 : user_.pin.length();
@@ -254,7 +200,7 @@ std::optional<AuthResult> StreamingAuthenticator::poll() {
 
   // Wait for the artifact tail after the final keystroke.
   const double last = entry_.events.back().recorded_time_s;
-  if (buffered_seconds() < last + options_.tail_s) return std::nullopt;
+  if (buffered_seconds() < last + kStreamingTailS) return std::nullopt;
 
   const obs::Span span("streaming.decide", "core");
   Observation observation{entry_, trace_};

@@ -7,12 +7,18 @@
 // fully captured) and then runs the standard pipeline.  It also enforces
 // an attempt timeout so a half-typed PIN cannot pin memory forever.
 //
+// One policy with the batch API: samples are buffered exactly as the
+// sensor sent them, so channel gating and the strict degraded-evidence
+// policy judge a streamed attempt as they judge a batch one (a channel
+// that delivers NaN or inf is masked, and the attempt rejects with
+// kDegradedEvidence).  Every decided attempt is committed once through
+// core::commit_decision: pipeline decisions inside `authenticate`, and
+// this layer's own rejects (timeout, overflow, lockout) by poll().
+//
 // Hardening (degraded-sensor resilience):
 //   * the attempt timeout runs on an injectable monotonic clock, so a
 //     *stalled* stream (watch stops pushing samples mid-PIN) times out
 //     on wall time instead of waiting forever on stream time;
-//   * non-finite samples are rejected at ingest (previous-sample hold),
-//     keeping the buffer finite end to end;
 //   * the sample buffer is bounded; overflow rejects the attempt loudly
 //     instead of growing without limit;
 //   * after `lockout_threshold` consecutive rejections the instance
@@ -29,15 +35,15 @@
 
 #include "core/authenticator.hpp"
 #include "core/enrollment.hpp"
-#include "obs/drift.hpp"
 
 namespace p2auth::core {
 
+// Seconds of PPG required after the last keystroke before an attempt is
+// decided (covers the artifact tail and the segmentation window).
+inline constexpr double kStreamingTailS = 0.9;
+
 struct StreamingOptions {
   AuthOptions auth{};
-  // Seconds of PPG required after the last keystroke before deciding
-  // (must cover the artifact tail and the segmentation window).
-  double tail_s = 0.9;
   // An attempt older than this is abandoned with a rejection.  Age is the
   // larger of the buffered stream time and the monotonic-clock time since
   // the attempt's first push, so both a runaway stream and a stalled one
@@ -57,31 +63,22 @@ struct StreamingOptions {
   std::size_t lockout_threshold = 5;
   double lockout_base_s = 30.0;
   double lockout_max_s = 3600.0;
-  // Online drift monitoring: compare live decision-score sketches
-  // against the user's enrollment-time baseline and raise typed alerts
-  // (see obs/drift.hpp).  Disabled instances pay nothing per decision.
-  bool monitor_drift = false;
-  obs::DriftOptions drift{};
 };
 
 // Lifetime health counters of one StreamingAuthenticator (never reset by
-// reset()/poll(); mirrors the global obs counters per instance).
+// reset()/poll()).  The decisions are also in the global `auth.*` obs
+// counters, which every front end shares.
 struct StreamingStats {
   std::uint64_t samples = 0;     // PPG samples pushed
   std::uint64_t keystrokes = 0;  // keystroke events pushed
   std::uint64_t attempts = 0;    // decisions returned by poll()
   std::uint64_t accepted = 0;
   std::uint64_t timeouts = 0;  // attempts abandoned by the timeout
-  // Non-finite sample values sanitised at ingest (previous-sample hold).
-  std::uint64_t nonfinite_values = 0;
   // Samples dropped because the bounded buffer was full.
   std::uint64_t overflow_dropped = 0;
   // Attempts refused while the lockout backoff was in force.
   std::uint64_t lockout_rejects = 0;
   std::uint64_t lockouts = 0;  // times the lockout engaged
-  // New drift alerts raised by the monitor (edge-triggered; 0 when
-  // monitoring is off).
-  std::uint64_t drift_alerts = 0;
   // Rejections keyed by typed reason (RejectReason::kTimeout, ...).
   std::map<RejectReason, std::uint64_t> rejects_by_reason;
   // SIMD backend the hot kernels dispatched to when this instance was
@@ -101,10 +98,9 @@ class StreamingAuthenticator {
                          std::size_t channels,
                          StreamingOptions options = {});
 
-  // Pushes one multi-channel PPG sample (size must equal `channels`).
-  // Non-finite values are sanitised (previous-sample hold) and counted;
-  // samples beyond the buffer cap are dropped and flag the attempt for a
-  // kBufferOverflow rejection.
+  // Pushes one multi-channel PPG sample (size must equal `channels`),
+  // stored as sent; samples beyond the buffer cap are dropped and flag
+  // the attempt for a kBufferOverflow rejection.
   void push_sample(std::span<const double> sample);
 
   // Pushes one keystroke event from the phone (recorded timestamp is on
@@ -135,22 +131,13 @@ class StreamingAuthenticator {
   // Lifetime health counters (see StreamingStats).
   const StreamingStats& stats() const noexcept { return stats_; }
 
-  // Drift monitor, when options.monitor_drift enabled it (else nullptr).
-  // The mutable overload lets callers with out-of-band labels (evaluation
-  // harnesses, honeypot entries) feed the imposter side directly.
-  const obs::DriftMonitor* drift_monitor() const noexcept {
-    return drift_ ? &*drift_ : nullptr;
-  }
-  obs::DriftMonitor* drift_monitor() noexcept {
-    return drift_ ? &*drift_ : nullptr;
-  }
-
  private:
-  // Bookkeeping shared by the timeout and regular decision paths; also
-  // advances the consecutive-reject lockout state machine.
+  // Per-instance bookkeeping of every decided attempt; also advances the
+  // consecutive-reject lockout state machine.
   AuthResult finish_attempt(AuthResult result);
-  // Builds a rejection with the given typed reason.
-  static AuthResult make_reject(RejectReason reason);
+  // Drops the buffered attempt and rejects it with `reason` (timeout,
+  // overflow, lockout), committed like a pipeline decision.
+  AuthResult reject_attempt(RejectReason reason);
   // Current time on the configured monotonic clock.
   double now() const;
   // True while samples or keystrokes of an undecided attempt are buffered.
@@ -175,7 +162,6 @@ class StreamingAuthenticator {
   std::size_t lockout_level_ = 0;  // exponent of the next backoff
   double locked_until_ = 0.0;
   bool locked_ = false;
-  std::optional<obs::DriftMonitor> drift_;
 };
 
 }  // namespace p2auth::core

@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "keystroke/events.hpp"
@@ -62,8 +61,8 @@ enum class RejectReason {
 // Human-readable form ("wrong PIN", "attempt timed out", ...).
 std::string to_string(RejectReason r);
 
-// Stable snake_case slug used to key obs counters
-// ("auth.reject.<slug>", "streaming.reject.<slug>").
+// Stable snake_case slug used to key the obs counters
+// ("auth.reject.<slug>").
 const char* reject_reason_slug(RejectReason r) noexcept;
 
 // Which model family produced the biometric decision (kNone when the
@@ -103,11 +102,10 @@ inline constexpr std::uint8_t audit_code(ModelPath p) noexcept {
   return static_cast<std::uint8_t>(p);
 }
 
-// "<prefix><slug>" for every RejectReason, indexed by audit_code: the
-// obs counter names ("auth.reject.", "streaming.reject."), built once
-// per front end instead of once per rejected decision.
-std::array<std::string, kRejectReasonCodes> reject_counter_names(
-    std::string_view prefix);
+// "auth.reject.<slug>" for every RejectReason, indexed by audit_code:
+// the obs counter names, built once instead of once per rejected
+// decision.
+std::array<std::string, kRejectReasonCodes> reject_counter_names();
 
 // Decoders for audit-log codes; out-of-range codes (logs written by a
 // newer build) come back as the slug "unknown".

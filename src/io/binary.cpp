@@ -282,17 +282,6 @@ MappedWaveformModel parse_waveform_model(ByteReader& r,
 
 }  // namespace
 
-double MappedRidge::decision(std::span<const double> features) const {
-  if (features.size() != weights.size()) {
-    throw std::invalid_argument("MappedRidge::decision: size mismatch");
-  }
-  double acc = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i] * features[i];
-  }
-  return acc + bias;
-}
-
 std::vector<std::uint8_t> build_user_record(const core::EnrolledUser& user) {
   require_little_endian();
   ByteWriter w;

@@ -44,14 +44,13 @@ struct MappedMiniRocket {
   std::span<const double> biases;           // 8-aligned, usable in place
 };
 
-// Ridge weights viewed in place; decision() evaluates w.x + b directly
-// over the mapped span — the no-parse, no-copy scoring path.
+// Ridge weights viewed in place (no parse, no copy).  Scoring goes
+// through linalg::RidgeClassifier, whose striped dot product pins the
+// decision bits.
 struct MappedRidge {
   double bias = 0.0;
   double lambda = 0.0;
   std::span<const double> weights;
-
-  double decision(std::span<const double> features) const;
 };
 
 struct MappedWaveformModel {

@@ -13,6 +13,8 @@
 #include "core/adapt.hpp"
 #include "core/authenticator.hpp"
 #include "core/enrollment.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "sim/attacks.hpp"
 #include "sim/dataset.hpp"
 
@@ -229,6 +231,33 @@ TEST(Adapt, AdmissionMarginTracksBaselineQuantile) {
   TemplateAdapter strict_adapter(f.user, f.enroll_obs, f.negative_pool,
                                  stricter);
   EXPECT_GT(strict_adapter.admission_margin(), margin);
+}
+
+// The stale path: attackers who hold the PIN, fed in as genuine, starve
+// the candidate buffer and drag the live genuine scores below the accept
+// boundary, so the FRR-rise alert declares the templates stale.  The
+// next attempt is refused unscored and committed like any decision.
+TEST(Adapt, StaleTemplatesRejectTypedAndCommitted) {
+  const Fixture& f = fixture();
+  TemplateAdapter adapter = f.make_adapter();
+  obs::reset_metrics();
+  for (std::size_t i = 0; i < kStaleAttemptWindow; ++i) {
+    adapter.attempt(f.attack_entry(9200 + i),
+                    TemplateAdapter::Truth::kGenuine);
+  }
+  ASSERT_EQ(adapter.stats().admitted, 0u);
+  ASSERT_TRUE(adapter.stale());
+  const AuthResult result = adapter.attempt(
+      f.fresh_entry(600), TemplateAdapter::Truth::kGenuine);
+  EXPECT_FALSE(result.accepted);
+  EXPECT_EQ(result.reason, RejectReason::kTemplateStale);
+  EXPECT_EQ(result.model_path, ModelPath::kNone);
+  EXPECT_EQ(adapter.stats().attempts, kStaleAttemptWindow + 1);
+  EXPECT_EQ(adapter.stats().stale_rejects, 1u);
+  if (!obs::enabled()) return;  // counters compiled out
+  const obs::MetricsSnapshot snap = obs::snapshot_metrics();
+  EXPECT_EQ(snap.counter("auth.reject.template_stale"), 1u);
+  EXPECT_EQ(snap.counter("auth.attempts"), kStaleAttemptWindow + 1);
 }
 
 }  // namespace

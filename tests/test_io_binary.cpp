@@ -176,13 +176,14 @@ TEST(IoBinary, ZeroCopyViewMatchesSource) {
   EXPECT_LT(bias_ptr, hi);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(bias_ptr) % 8, 0u);
 
-  // Mapped ridge evaluates identically to the owning classifier.
-  std::vector<double> probe(model.ridge().weights().size());
-  for (std::size_t i = 0; i < probe.size(); ++i) {
-    probe[i] = 0.01 * static_cast<double>(i % 17) - 0.05;
+  // The mapped ridge holds the owning classifier's exact bits.
+  EXPECT_EQ(mapped.ridge.bias, model.ridge().bias());
+  EXPECT_EQ(mapped.ridge.lambda, model.ridge().chosen_lambda());
+  const linalg::Vector& weights = model.ridge().weights();
+  ASSERT_EQ(mapped.ridge.weights.size(), weights.size());
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    EXPECT_EQ(mapped.ridge.weights[i], weights[i]) << "weight " << i;
   }
-  EXPECT_DOUBLE_EQ(mapped.ridge.decision(probe),
-                   model.ridge().decision(probe));
 }
 
 TEST(IoBinary, MappedRegistryLookupAndMaterialize) {

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include <unistd.h>
+
+#include "obs/audit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "sim/dataset.hpp"
@@ -322,14 +328,18 @@ TEST(Streaming, BufferOverflowRejectsLoudly) {
   EXPECT_FALSE(auth.poll().has_value());
 }
 
-// Non-finite readings never enter the buffer: they are sanitised at
-// ingest (previous-sample hold) and counted, and the attempt still
-// reaches a decision instead of crashing downstream.
-TEST(Streaming, NonFiniteSamplesSanitisedAtIngest) {
+// Samples are buffered as the sensor sent them, so a channel that
+// delivers non-finite readings is judged exactly as the batch API judges
+// the same samples: gating masks the channel and the strict policy
+// rejects the attempt with kDegradedEvidence.
+TEST(Streaming, NonFiniteSamplesDecideAsBatchDoes) {
   const Enrolled& f = fixture();
   const sim::Trial trial = f.fresh_trial(41);
   StreamingAuthenticator auth(f.user, trial.trace.rate_hz,
                               trial.trace.num_channels());
+  // Everything pushed until the decision, for the batch replay.
+  Observation pushed{trial.entry, trial.trace};
+  for (auto& channel : pushed.trace.channels) channel.clear();
   std::size_t next_event = 0;
   std::vector<double> sample(trial.trace.num_channels());
   std::optional<AuthResult> decision;
@@ -351,11 +361,78 @@ TEST(Streaming, NonFiniteSamplesSanitisedAtIngest) {
                       : std::numeric_limits<double>::infinity();
     }
     auth.push_sample(sample);
+    for (std::size_t c = 0; c < sample.size(); ++c) {
+      pushed.trace.channels[c].push_back(sample[c]);
+    }
     if (i % 25 == 0) decision = auth.poll();
   }
   if (!decision) decision = auth.poll();
-  EXPECT_GT(auth.stats().nonfinite_values, 0u);
-  ASSERT_TRUE(decision.has_value());  // pipeline decided, no throw
+  ASSERT_TRUE(decision.has_value());
+  ASSERT_EQ(next_event, trial.entry.events.size());
+  const AuthResult batch = authenticate(f.user, pushed);
+  EXPECT_EQ(batch.reason, RejectReason::kDegradedEvidence);
+  EXPECT_EQ(decision->accepted, batch.accepted);
+  EXPECT_EQ(decision->reason, batch.reason);
+  EXPECT_EQ(decision->model_path, batch.model_path);
+  EXPECT_EQ(decision->channel_mask, batch.channel_mask);
+}
+
+// The streaming layer's own rejects are committed like pipeline
+// decisions: once each in the shared auth.* counters and once each in
+// the decision flight recorder, in order.
+TEST(Streaming, OwnRejectsAreCommittedOnce) {
+  const Enrolled& f = fixture();
+  const std::string path = "/tmp/p2auth_test_streaming_audit_" +
+                           std::to_string(static_cast<long>(::getpid())) +
+                           ".bin";
+  obs::reset_metrics();
+  double fake_now = 0.0;
+  StreamingOptions options;
+  options.timeout_s = 1.0;
+  options.max_buffer_samples = 50;
+  options.lockout_threshold = 2;
+  options.lockout_base_s = 10.0;
+  options.clock = [&fake_now] { return fake_now; };
+  const std::vector<RejectReason> expected = {RejectReason::kBufferOverflow,
+                                              RejectReason::kTimeout,
+                                              RejectReason::kLockedOut};
+  std::vector<RejectReason> reasons;
+  {
+    obs::AuditRecorder recorder(path);
+    obs::install_audit_recorder(&recorder);
+    StreamingAuthenticator auth(f.user, 100.0, 4, options);
+    const std::vector<double> sample(4, 0.5);
+    auto decide = [&] {
+      const std::optional<AuthResult> result = auth.poll();
+      reasons.push_back(result ? result->reason : RejectReason::kNone);
+    };
+    for (int i = 0; i < 60; ++i) auth.push_sample(sample);
+    decide();  // overflow
+    for (int i = 0; i < 10; ++i) auth.push_sample(sample);
+    fake_now += 1.5;
+    decide();  // timeout; the second reject in a row arms the lockout
+    auth.push_sample(sample);
+    decide();  // locked out
+    obs::install_audit_recorder(nullptr);
+    recorder.flush();
+  }
+  const obs::AuditReadResult log = obs::read_audit_log(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(reasons, expected);
+  ASSERT_TRUE(log.ok());
+  ASSERT_EQ(log.records.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(log.records[i].reason, audit_code(expected[i])) << i;
+    EXPECT_EQ(log.records[i].accepted, 0) << i;
+    EXPECT_EQ(log.records[i].user_id, f.user.user_id) << i;
+  }
+  if (!obs::enabled()) return;  // counters compiled out
+  const obs::MetricsSnapshot snap = obs::snapshot_metrics();
+  EXPECT_EQ(snap.counter("auth.attempts"), 3u);
+  EXPECT_EQ(snap.counter("auth.reject"), 3u);
+  EXPECT_EQ(snap.counter("auth.reject.buffer_overflow"), 1u);
+  EXPECT_EQ(snap.counter("auth.reject.timeout"), 1u);
+  EXPECT_EQ(snap.counter("auth.reject.locked_out"), 1u);
 }
 
 TEST(Streaming, LockoutEngagesAndBacksOffExponentially) {
@@ -421,8 +498,8 @@ TEST(Streaming, TimeoutClearsBufferGaugeAndCountsDroppedSamples) {
   ASSERT_EQ(snap.gauges.count("streaming.buffer_samples"), 1u);
   EXPECT_EQ(snap.gauges.at("streaming.buffer_samples"), 0.0);
   EXPECT_EQ(snap.counter("streaming.dropped_samples"), 100u);
-  EXPECT_EQ(snap.counter("streaming.timeouts"), 1u);
-  EXPECT_EQ(snap.counter("streaming.reject.timeout"), 1u);
+  EXPECT_EQ(snap.counter("auth.attempts"), 1u);
+  EXPECT_EQ(snap.counter("auth.reject.timeout"), 1u);
 }
 
 }  // namespace
