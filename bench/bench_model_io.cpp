@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -131,8 +132,9 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < lookups; ++i) {
       const std::uint32_t pick = static_cast<std::uint32_t>(
           (i * 9973) % users);  // scattered across the arena
-      const core::EnrolledUser u = mapped.materialize(user_name(pick));
-      materialized += u.full_model.has_value() ? 1 : 0;
+      const std::optional<core::EnrolledUser> u =
+          mapped.find(user_name(pick));
+      materialized += u && u->full_model.has_value() ? 1 : 0;
     }
   });
   const double rss_after_lookups = util::current_rss_mib();

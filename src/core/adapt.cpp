@@ -54,6 +54,24 @@ double midpoint_cut(std::vector<double> scores, std::size_t k) {
   return 0.5 * (scores[k - 1] + scores[k]);
 }
 
+// Operating-point shift of a retrained model (see try_refresh): pinned so
+// the anchors keep `anchor_margin`, their median margin under the
+// enrolled model, and clamped so the shifted model accepts no more of
+// `negatives` than the outgoing model's `outgoing_accepts`.
+double calibration_shift(const WaveformModel& trained,
+                         const std::vector<std::vector<Series>>& anchors,
+                         double anchor_margin,
+                         const std::vector<std::vector<Series>>& negatives,
+                         std::size_t outgoing_accepts) {
+  const linalg::Vector decisions = trained.decisions(negatives);
+  const double delta_pool = midpoint_cut(
+      std::vector<double>(decisions.begin(), decisions.end()),
+      outgoing_accepts);
+  const double delta_genuine =
+      median_decision(trained, anchors) - anchor_margin;
+  return std::max(delta_genuine, delta_pool);
+}
+
 }  // namespace
 
 TemplateAdapter::TemplateAdapter(EnrolledUser user,
@@ -287,13 +305,8 @@ RefreshOutcome TemplateAdapter::try_refresh() {
   //     decisions, so the count is stable against floating-point
   //     re-association).
   const std::size_t old_neg = accept_count(current, negatives);
-  const linalg::Vector pool_decisions = trained.decisions(negatives);
-  const double delta_pool = midpoint_cut(
-      std::vector<double>(pool_decisions.begin(), pool_decisions.end()),
-      old_neg);
-  const double delta_genuine =
-      median_decision(trained, anchor_fulls_) - enrolled_anchor_margin_;
-  const double delta = std::max(delta_genuine, delta_pool);
+  const double delta = calibration_shift(
+      trained, anchor_fulls_, enrolled_anchor_margin_, negatives, old_neg);
   WaveformModel refreshed = WaveformModel::from_parts(
       trained.rocket(), trained.ridge(), trained.threshold() + delta);
 
@@ -368,14 +381,9 @@ void TemplateAdapter::refresh_key_models(std::size_t window_begin,
     // median margin, clamped so it accepts no more of its negative
     // probe set than the member it replaces.
     const std::size_t old_neg = accept_count(*member, negatives);
-    const linalg::Vector neg_decisions = trained.decisions(negatives);
-    const double delta_pool = midpoint_cut(
-        std::vector<double>(neg_decisions.begin(), neg_decisions.end()),
-        old_neg);
-    const double delta_genuine =
-        median_decision(trained, anchor_segments_[k]) -
-        enrolled_key_margin_[k];
-    const double delta = std::max(delta_genuine, delta_pool);
+    const double delta =
+        calibration_shift(trained, anchor_segments_[k],
+                          enrolled_key_margin_[k], negatives, old_neg);
     WaveformModel calibrated = WaveformModel::from_parts(
         trained.rocket(), trained.ridge(), trained.threshold() + delta);
     // Per-member guard (belt to the calibration's braces): a member that

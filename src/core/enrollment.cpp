@@ -134,12 +134,6 @@ bool WaveformModel::accept(const std::vector<Series>& waveform) const {
   return decision(waveform) >= 0.0;
 }
 
-bool WaveformModel::accept(const std::vector<Series>& waveform,
-                           ml::TransformScratch& scratch,
-                           linalg::Vector& features) const {
-  return decision(waveform, scratch, features) >= 0.0;
-}
-
 linalg::Vector WaveformModel::decisions(
     const std::vector<std::vector<Series>>& batch,
     std::size_t max_threads) const {

@@ -64,8 +64,6 @@ class WaveformModel {
                   ml::TransformScratch& scratch,
                   linalg::Vector& features) const;
   bool accept(const std::vector<Series>& waveform) const;
-  bool accept(const std::vector<Series>& waveform,
-              ml::TransformScratch& scratch, linalg::Vector& features) const;
 
   // Scores a batch through the tiled MiniRocket batch engine; decisions
   // are bit-identical to per-waveform `decision` for any thread count.
@@ -135,6 +133,10 @@ struct EnrollmentStats {
   std::size_t segment_negatives = 0;
   std::size_t key_models_trained = 0;
 };
+
+// The longest PIN the model store holds (P2MDL001's io::kMaxPinBytes);
+// the streaming front end bounds a typed PIN by it.
+inline constexpr std::size_t kMaxPinDigits = 64;
 
 // A registered user: their PIN (empty = no-PIN mode) and trained models.
 struct EnrolledUser {

@@ -76,13 +76,8 @@ UserOutcome evaluate_user(std::size_t user_index,
   // Oracle feed: the harness knows each attempt's true stream, so the
   // drift monitor gets ground-truth labels here (deployed code relies on
   // the PIN-factor proxy instead, DriftLabel::kUnknown).
-  const auto decided = [&](AttemptKind kind, const AuthResult& result) {
-    if (outcome.drift) {
-      feed_drift(*outcome.drift, result,
-                 kind == AttemptKind::kLegitimate ? DriftLabel::kGenuine
-                                                  : DriftLabel::kImposter);
-    }
-    if (config.on_decision) config.on_decision(user_index, kind, result);
+  const auto decided = [&](DriftLabel label, const AuthResult& result) {
+    if (outcome.drift) feed_drift(*outcome.drift, result, label);
   };
 
   // --- Legitimate test attempts. ---
@@ -98,7 +93,7 @@ UserOutcome evaluate_user(std::size_t user_index,
         user, pin, test_options, config.test_scenario, trial_rng));
     const AuthResult result = authenticate(enrolled, obs, auth);
     outcome.metrics.legitimate.add(result.accepted);
-    decided(AttemptKind::kLegitimate, result);
+    decided(DriftLabel::kGenuine, result);
   }
 
   // --- Random attacks. ---
@@ -113,7 +108,7 @@ UserOutcome evaluate_user(std::size_t user_index,
         attacker, test_options, config.test_scenario, trial_rng));
     const AuthResult result = authenticate(enrolled, obs, ra_auth);
     outcome.metrics.random_attack.add(result.accepted);
-    decided(AttemptKind::kRandomAttack, result);
+    decided(DriftLabel::kImposter, result);
   }
 
   // --- Emulating attacks (correct PIN, imitated cadence). ---
@@ -128,7 +123,7 @@ UserOutcome evaluate_user(std::size_t user_index,
         config.test_scenario, trial_rng));
     const AuthResult result = authenticate(enrolled, obs, auth);
     outcome.metrics.emulating_attack.add(result.accepted);
-    decided(AttemptKind::kEmulatingAttack, result);
+    decided(DriftLabel::kImposter, result);
   }
   return outcome;
 }

@@ -25,10 +25,6 @@
 
 namespace p2auth::core {
 
-// Ground-truth label of one harness attempt (the harness knows which
-// stream it simulated; deployed code never does).
-enum class AttemptKind { kLegitimate, kRandomAttack, kEmulatingAttack };
-
 struct ExperimentConfig {
   sim::PopulationConfig population{};
   ppg::SensorConfig sensors = ppg::SensorConfig::prototype_wristband();
@@ -71,13 +67,6 @@ struct ExperimentConfig {
   // progress reporting; an exception thrown here aborts the sweep exactly
   // like a failure inside the evaluation itself.
   std::function<void(std::size_t user_index)> on_user_start;
-  // Called after every authentication decision with its ground-truth
-  // label (possibly concurrently for distinct users; attempts of one
-  // user arrive in order from a single worker).  Gives observability
-  // harnesses the oracle view the deployed system never has.
-  std::function<void(std::size_t user_index, AttemptKind kind,
-                     const AuthResult& result)>
-      on_decision;
   // Feed per-user drift monitors with ground-truth labels during the
   // sweep and roll them up into ExperimentResult::drift: legitimate
   // waveform scores -> genuine side, attack scores -> imposter side.

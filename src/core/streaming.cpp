@@ -103,9 +103,16 @@ void StreamingAuthenticator::push_keystroke(char digit,
   digits.push_back(digit);
   keystroke::Pin pin(digits);  // throws on non-digit
 
+  ++stats_.keystrokes;
   if (!attempt_open_) {
     attempt_open_ = true;
     attempt_start_ = now();
+  }
+  if (entry_.events.size() >= kMaxPinDigits) {
+    // Bounded PIN: drop the keystroke, flag the attempt, as push_sample
+    // does with a full buffer.
+    overflowed_ = true;
+    return;
   }
   keystroke::KeystrokeEvent event;
   event.digit = digit;
@@ -113,7 +120,6 @@ void StreamingAuthenticator::push_keystroke(char digit,
   event.true_time_s = recorded_time_s;  // truth is unknown on-device
   entry_.events.push_back(event);
   entry_.pin = std::move(pin);
-  ++stats_.keystrokes;
 }
 
 double StreamingAuthenticator::buffered_seconds() const noexcept {

@@ -19,8 +19,9 @@
 //   * the attempt timeout runs on an injectable monotonic clock, so a
 //     *stalled* stream (watch stops pushing samples mid-PIN) times out
 //     on wall time instead of waiting forever on stream time;
-//   * the sample buffer is bounded; overflow rejects the attempt loudly
-//     instead of growing without limit;
+//   * the sample buffer and the typed PIN (kMaxPinDigits keystrokes)
+//     are bounded; overflow rejects the attempt loudly instead of
+//     growing without limit;
 //   * after `lockout_threshold` consecutive rejections the instance
 //     locks out further attempts with exponential backoff, bounding an
 //     attacker's guess rate on a stolen watch.
@@ -106,7 +107,8 @@ class StreamingAuthenticator {
   // Pushes one keystroke event from the phone (recorded timestamp is on
   // the stream clock: seconds since the first pushed sample).  Throws
   // std::invalid_argument on a non-digit or non-finite timestamp and
-  // leaves the attempt state untouched.
+  // leaves the attempt state untouched.  Keystrokes beyond kMaxPinDigits
+  // are dropped and flag the attempt for a kBufferOverflow rejection.
   void push_keystroke(char digit, double recorded_time_s);
 
   // Checks whether an attempt is decidable; returns the decision and
@@ -153,7 +155,7 @@ class StreamingAuthenticator {
   ppg::MultiChannelTrace trace_;
   keystroke::EntryRecord entry_;
   StreamingStats stats_;
-  // Clock time of the attempt's first push; NaN while no attempt is open.
+  // Clock time of the attempt's first push; -1.0 while no attempt is open.
   double attempt_start_ = -1.0;
   bool attempt_open_ = false;
   bool overflowed_ = false;

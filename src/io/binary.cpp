@@ -3,18 +3,23 @@
 #include <array>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 
 #include "io/bytes.hpp"
 #include "io/detail.hpp"
+#include "io/mmap_registry.hpp"
 #include "util/crc32.hpp"
 #include "util/serialize.hpp"
 
 namespace p2auth::io {
+
+static_assert(kMaxPinBytes == core::kMaxPinDigits);
 
 namespace {
 
@@ -148,7 +153,6 @@ void write_all(std::ostream& os, std::span<const std::uint8_t> bytes) {
 // ---- parsing ----------------------------------------------------------
 
 struct FileHeaderInfo {
-  std::uint32_t version = 0;
   FileKind kind = FileKind::kEnrolledUser;
   std::uint64_t record_count = 0;
   std::uint64_t index_offset = 0;
@@ -170,12 +174,12 @@ FileHeaderInfo parse_file_header(std::span<const std::uint8_t> header) {
   ByteReader r(header.subspan(sizeof(kMagic),
                               kFileHeaderBytes - sizeof(kMagic)),
                "file header");
-  FileHeaderInfo info;
-  info.version = r.u32();
-  if (info.version != kFormatVersion) {
+  const std::uint32_t version = r.u32();
+  if (version != kFormatVersion) {
     fail(SerializeErrc::kVersionSkew,
-         "unsupported format version " + std::to_string(info.version));
+         "unsupported format version " + std::to_string(version));
   }
+  FileHeaderInfo info;
   const std::uint32_t kind = r.u32();
   if (kind != static_cast<std::uint32_t>(FileKind::kUserRegistry) &&
       kind != static_cast<std::uint32_t>(FileKind::kEnrolledUser)) {
@@ -209,75 +213,106 @@ ByteReader next_section(ByteReader& r, std::span<const std::uint8_t> record,
   return payload;
 }
 
-MappedMiniRocket parse_minirocket(ByteReader& p) {
-  MappedMiniRocket mr;
-  mr.options.num_features = p.u64();
-  mr.options.max_dilations = p.u64();
+// Checks the 16-byte trailer that follows `covered`: its tag, its
+// reserved tail (the only bytes no CRC covers, so it must be zero for no
+// byte to flip undetected) and the CRC-32 of `covered`.  `what` names
+// the region ("record", "index") in the error.
+void check_crc_trailer(std::span<const std::uint8_t> covered,
+                       std::span<const std::uint8_t> trailer,
+                       const std::string& what) {
+  ByteReader t(trailer, "CRC trailer");
+  if (t.u32() != kTagCrcTrailer) {
+    fail(SerializeErrc::kBadTag, "missing " + what + " CRC trailer");
+  }
+  const std::uint32_t stored = t.u32();
+  if (t.u64() != 0) {
+    fail(SerializeErrc::kBadValue, "nonzero trailer reserved bytes");
+  }
+  if (stored != util::crc32(covered)) {
+    fail(SerializeErrc::kBadCrc, what + " checksum mismatch");
+  }
+}
+
+ml::MiniRocketOptions read_options(ByteReader& p) {
+  ml::MiniRocketOptions options;
+  options.num_features = p.u64();
+  options.max_dilations = p.u64();
   const std::uint64_t pooling = p.u64();
   if (pooling > static_cast<std::uint64_t>(ml::Pooling::kMax)) {
     p.fail(SerializeErrc::kBadValue, "bad pooling value");
   }
-  mr.options.pooling = static_cast<ml::Pooling>(pooling);
-  mr.input_length = p.u64();
+  options.pooling = static_cast<ml::Pooling>(pooling);
+  return options;
+}
+
+ml::MiniRocket decode_minirocket(ByteReader& p) {
+  const ml::MiniRocketOptions options = read_options(p);
+  const std::uint64_t input_length = p.u64();
   const std::uint64_t n_dilations = p.u64();
-  mr.biases_per_combo = p.u64();
+  const std::uint64_t biases_per_combo = p.u64();
   if (n_dilations == 0 || n_dilations > kMaxDilations ||
-      mr.biases_per_combo == 0 || mr.biases_per_combo > kMaxBiasesPerCombo) {
+      biases_per_combo == 0 || biases_per_combo > kMaxBiasesPerCombo) {
     p.fail(SerializeErrc::kBadShape, "dilation/bias counts out of range");
   }
-  mr.dilations = p.aligned_array<std::int32_t>(
-      static_cast<std::size_t>(n_dilations), "dilations");
+  const std::span<const std::int32_t> dilations =
+      p.aligned_array<std::int32_t>(static_cast<std::size_t>(n_dilations),
+                                    "dilations");
   p.skip_pad8("dilation padding");
   // 84 kernels; counts are capped above so this cannot overflow u64.
-  const std::uint64_t n_biases = 84u * n_dilations * mr.biases_per_combo;
-  mr.biases =
+  const std::uint64_t n_biases = 84u * n_dilations * biases_per_combo;
+  const std::span<const double> biases =
       p.aligned_array<double>(static_cast<std::size_t>(n_biases), "biases");
   if (!p.done()) p.fail(SerializeErrc::kBadShape, "trailing MRKT bytes");
-  return mr;
+  return ml::MiniRocket::from_parts(
+      options, static_cast<std::size_t>(input_length),
+      std::vector<int>(dilations.begin(), dilations.end()),
+      static_cast<std::size_t>(biases_per_combo),
+      std::vector<double>(biases.begin(), biases.end()));
 }
 
-MappedRidge parse_ridge(ByteReader& p) {
-  MappedRidge ridge;
-  ridge.bias = p.f64();
-  ridge.lambda = p.f64();
+linalg::RidgeClassifier decode_ridge(ByteReader& p) {
+  const double bias = p.f64();
+  const double lambda = p.f64();
   const std::uint64_t n = p.u64();
   if (n == 0) p.fail(SerializeErrc::kBadShape, "empty ridge weights");
-  ridge.weights =
+  const std::span<const double> weights =
       p.aligned_array<double>(static_cast<std::size_t>(n), "ridge weights");
   if (!p.done()) p.fail(SerializeErrc::kBadShape, "trailing RIDG bytes");
-  return ridge;
+  return linalg::RidgeClassifier::from_parts(
+      linalg::Vector(weights.begin(), weights.end()), bias, lambda);
 }
 
-MappedWaveformModel parse_waveform_model(ByteReader& r,
-                                         std::span<const std::uint8_t> record,
-                                         std::size_t body_end) {
-  MappedWaveformModel model;
+core::WaveformModel decode_waveform_model(
+    ByteReader& r, std::span<const std::uint8_t> record,
+    std::size_t body_end) {
   ByteReader h =
       next_section(r, record, body_end, kTagWaveformModel, "WMDH section");
-  model.threshold = h.f64();
+  const double threshold = h.f64();
   // The multi-channel wrapper's own options ride in the model header so
-  // a materialized MultiChannelMiniRocket round-trips exactly.
-  model.mc_options.num_features = h.u64();
-  model.mc_options.max_dilations = h.u64();
-  const std::uint64_t mc_pooling = h.u64();
-  if (mc_pooling > static_cast<std::uint64_t>(ml::Pooling::kMax)) {
-    h.fail(SerializeErrc::kBadValue, "bad pooling value");
-  }
-  model.mc_options.pooling = static_cast<ml::Pooling>(mc_pooling);
+  // a decoded MultiChannelMiniRocket round-trips exactly.
+  const ml::MiniRocketOptions mc_options = read_options(h);
   const std::uint64_t n_channels = h.u64();
   if (!h.done()) h.fail(SerializeErrc::kBadShape, "trailing WMDH bytes");
   if (n_channels == 0 || n_channels > kMaxChannels) {
     h.fail(SerializeErrc::kBadShape, "channel count out of range");
   }
-  model.channels.reserve(static_cast<std::size_t>(n_channels));
+  std::vector<ml::MiniRocket> channels;
+  channels.reserve(static_cast<std::size_t>(n_channels));
   for (std::uint64_t c = 0; c < n_channels; ++c) {
     ByteReader p =
         next_section(r, record, body_end, kTagMiniRocket, "MRKT section");
-    model.channels.push_back(parse_minirocket(p));
+    channels.push_back(decode_minirocket(p));
   }
   ByteReader p = next_section(r, record, body_end, kTagRidge, "RIDG section");
-  model.ridge = parse_ridge(p);
-  return model;
+  linalg::RidgeClassifier ridge = decode_ridge(p);
+  try {
+    return core::WaveformModel::from_parts(
+        ml::MultiChannelMiniRocket::from_parts(mc_options,
+                                               std::move(channels)),
+        std::move(ridge), threshold);
+  } catch (const std::invalid_argument& e) {
+    throw SerializeError(SerializeErrc::kBadShape, e.what());
+  }
 }
 
 }  // namespace
@@ -329,30 +364,7 @@ std::vector<std::uint8_t> build_user_record(const core::EnrolledUser& user) {
   return std::move(w.buffer());
 }
 
-void verify_record_crc(std::span<const std::uint8_t> record) {
-  if (record.size() < kSectionHeaderBytes + kRecordTrailerBytes) {
-    fail(SerializeErrc::kTruncated, "record shorter than header + trailer");
-  }
-  ByteReader t(record.last(kRecordTrailerBytes), "record trailer");
-  if (t.u32() != kTagCrcTrailer) {
-    fail(SerializeErrc::kBadTag, "missing CRC trailer");
-  }
-  const std::uint32_t stored = t.u32();
-  // The trailer's reserved tail is the only record region the CRC does
-  // not cover; validate it explicitly so no byte of a record can flip
-  // undetected.
-  if (t.u64() != 0) {
-    fail(SerializeErrc::kBadValue, "nonzero trailer reserved bytes");
-  }
-  const std::uint32_t computed =
-      util::crc32(record.first(record.size() - kRecordTrailerBytes));
-  if (stored != computed) {
-    fail(SerializeErrc::kBadCrc, "record checksum mismatch");
-  }
-}
-
-MappedUser parse_user_record(std::span<const std::uint8_t> record,
-                             bool verify_crc) {
+core::EnrolledUser decode_user_record(std::span<const std::uint8_t> record) {
   require_little_endian();
   if (record.size() < kSectionHeaderBytes + kRecordTrailerBytes) {
     fail(SerializeErrc::kTruncated, "record shorter than header + trailer");
@@ -363,7 +375,9 @@ MappedUser parse_user_record(std::span<const std::uint8_t> record,
   // Integrity first: a flipped bit inside the record surfaces as kBadCrc
   // instead of whatever structural error the scrambled bytes happen to
   // produce.
-  if (verify_crc) verify_record_crc(record);
+  const std::size_t body_end = record.size() - kRecordTrailerBytes;
+  check_crc_trailer(record.first(body_end), record.subspan(body_end),
+                    "record");
 
   ByteReader r(record, "user record");
   if (r.u32() != kTagUserRecord) {
@@ -373,10 +387,8 @@ MappedUser parse_user_record(std::span<const std::uint8_t> record,
   if (r.u64() != record.size()) {
     r.fail(SerializeErrc::kBadShape, "record length field mismatch");
   }
-  const std::size_t body_end = record.size() - kRecordTrailerBytes;
 
-  MappedUser user;
-  user.record = record;
+  core::EnrolledUser user;
   std::uint16_t presence = 0;
   {
     ByteReader p =
@@ -399,19 +411,25 @@ MappedUser parse_user_record(std::span<const std::uint8_t> record,
     if (pin_len > kMaxPinBytes) {
       p.fail(SerializeErrc::kBadShape, "pin too long");
     }
-    user.pin = p.str(static_cast<std::size_t>(pin_len), "pin");
+    const std::string_view pin =
+        p.str(static_cast<std::size_t>(pin_len), "pin");
     if (!p.done()) p.fail(SerializeErrc::kBadShape, "trailing USRH bytes");
+    try {
+      user.pin = keystroke::Pin(pin);
+    } catch (const std::invalid_argument& e) {
+      throw SerializeError(SerializeErrc::kBadValue, e.what());
+    }
   }
 
   if (presence & kPresenceFull) {
-    user.full_model = parse_waveform_model(r, record, body_end);
+    user.full_model = decode_waveform_model(r, record, body_end);
   }
   if (presence & kPresenceBoost) {
-    user.boost_model = parse_waveform_model(r, record, body_end);
+    user.boost_model = decode_waveform_model(r, record, body_end);
   }
   for (std::size_t k = 0; k < user.key_models.size(); ++k) {
     if (presence & presence_key(k)) {
-      user.key_models[k] = parse_waveform_model(r, record, body_end);
+      user.key_models[k] = decode_waveform_model(r, record, body_end);
     }
   }
   if (r.offset() != body_end) {
@@ -420,57 +438,6 @@ MappedUser parse_user_record(std::span<const std::uint8_t> record,
   if (user.privacy_boost && !user.boost_model.has_value()) {
     fail(SerializeErrc::kBadShape,
          "privacy boost set without a boost model");
-  }
-  return user;
-}
-
-namespace {
-
-core::WaveformModel materialize_model(const MappedWaveformModel& view) {
-  std::vector<ml::MiniRocket> channels;
-  channels.reserve(view.channels.size());
-  for (const MappedMiniRocket& mr : view.channels) {
-    channels.push_back(ml::MiniRocket::from_parts(
-        mr.options, static_cast<std::size_t>(mr.input_length),
-        std::vector<int>(mr.dilations.begin(), mr.dilations.end()),
-        static_cast<std::size_t>(mr.biases_per_combo),
-        std::vector<double>(mr.biases.begin(), mr.biases.end())));
-  }
-  ml::MultiChannelMiniRocket rocket = ml::MultiChannelMiniRocket::from_parts(
-      view.mc_options, std::move(channels));
-  linalg::RidgeClassifier ridge = linalg::RidgeClassifier::from_parts(
-      linalg::Vector(view.ridge.weights.begin(), view.ridge.weights.end()),
-      view.ridge.bias, view.ridge.lambda);
-  try {
-    return core::WaveformModel::from_parts(std::move(rocket),
-                                           std::move(ridge), view.threshold);
-  } catch (const std::invalid_argument& e) {
-    throw SerializeError(SerializeErrc::kBadShape, e.what());
-  }
-}
-
-}  // namespace
-
-core::EnrolledUser materialize_user(const MappedUser& view) {
-  core::EnrolledUser user;
-  try {
-    user.pin = keystroke::Pin(view.pin);
-  } catch (const std::invalid_argument& e) {
-    throw SerializeError(SerializeErrc::kBadValue, e.what());
-  }
-  user.privacy_boost = view.privacy_boost;
-  user.user_id = view.user_id;
-  user.stats = view.stats;
-  if (view.full_model.has_value()) {
-    user.full_model = materialize_model(*view.full_model);
-  }
-  if (view.boost_model.has_value()) {
-    user.boost_model = materialize_model(*view.boost_model);
-  }
-  for (std::size_t k = 0; k < view.key_models.size(); ++k) {
-    if (view.key_models[k].has_value()) {
-      user.key_models[k] = materialize_model(*view.key_models[k]);
-    }
   }
   return user;
 }
@@ -523,9 +490,8 @@ core::EnrolledUser load_enrolled_user_binary(std::istream& is) {
   if (info.record_count != 1) {
     fail(SerializeErrc::kBadShape, "single-user file must hold one record");
   }
-  const std::span<const std::uint8_t> record =
-      std::span<const std::uint8_t>(bytes).subspan(kFileHeaderBytes);
-  return materialize_user(parse_user_record(record, /*verify_crc=*/true));
+  return decode_user_record(
+      std::span<const std::uint8_t>(bytes).subspan(kFileHeaderBytes));
 }
 
 core::EnrolledUser load_enrolled_user_binary_file(const std::string& path) {
@@ -536,53 +502,48 @@ core::EnrolledUser load_enrolled_user_binary_file(const std::string& path) {
 
 void save_user_registry_binary(const core::UserRegistry& registry,
                                std::ostream& os) {
+  const std::streampos start = os.tellp();
+  if (start == std::streampos(-1)) {
+    fail(SerializeErrc::kIoError,
+         "registry writing requires a seekable stream");
+  }
+  // Stream record by record (one record resident at a time); the index
+  // offset is known only once the last record is out, so the header is
+  // patched afterwards.
+  ByteWriter header;
+  write_file_header(header, FileKind::kUserRegistry, registry.size(), 0);
+  write_all(os, header.buffer());
   std::vector<NameEntry> entries;
-  std::vector<std::vector<std::uint8_t>> records;
   std::uint64_t offset = kFileHeaderBytes;
   for (const std::string& name : registry.names()) {
-    const core::EnrolledUser* user = registry.find(name);
-    records.push_back(build_user_record(*user));
-    entries.push_back({offset, records.back().size(), name});
-    offset += records.back().size();
+    const std::vector<std::uint8_t> record =
+        build_user_record(*registry.find(name));
+    write_all(os, record);
+    entries.push_back({offset, record.size(), name});
+    offset += record.size();
   }
-  ByteWriter header;
-  write_file_header(header, FileKind::kUserRegistry, entries.size(), offset);
-  write_all(os, header.buffer());
-  for (const auto& record : records) write_all(os, record);
   write_all(os, build_name_index(entries));
+  // index_offset lives at byte 24 of the header (magic 8 + version 4 +
+  // kind 4 + record_count 8).
+  const std::streampos end = os.tellp();
+  ByteWriter patch;
+  patch.u64(offset);
+  os.seekp(start + std::streamoff(24));
+  write_all(os, patch.buffer());
+  os.seekp(end);
+  if (!os) fail(SerializeErrc::kIoError, "stream seek failed");
 }
 
 void save_user_registry_binary_file(const core::UserRegistry& registry,
                                     const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) fail(SerializeErrc::kIoError, "cannot open " + path);
-  // Stream record-by-record (one record resident at a time), then patch
-  // the index offset into the header — byte-identical to the ostream
-  // overload without buffering the whole store.
-  ByteWriter header;
-  write_file_header(header, FileKind::kUserRegistry, registry.size(), 0);
-  write_all(out, header.buffer());
-  std::vector<NameEntry> entries;
-  std::uint64_t offset = kFileHeaderBytes;
-  for (const std::string& name : registry.names()) {
-    const std::vector<std::uint8_t> record =
-        build_user_record(*registry.find(name));
-    write_all(out, record);
-    entries.push_back({offset, record.size(), name});
-    offset += record.size();
-  }
-  write_all(out, build_name_index(entries));
-  // index_offset lives at byte 24 of the header (magic 8 + version 4 +
-  // kind 4 + record_count 8).
-  out.seekp(24);
-  ByteWriter patch;
-  patch.u64(offset);
-  write_all(out, patch.buffer());
+  save_user_registry_binary(registry, out);
   out.flush();
   if (!out) fail(SerializeErrc::kIoError, "write failed: " + path);
 }
 
-detail::RegistryLayout detail::parse_registry_layout(
+std::vector<detail::RegistryEntry> detail::parse_registry_index(
     std::span<const std::uint8_t> file) {
   const FileHeaderInfo info = parse_file_header(file);
   if (info.kind != FileKind::kUserRegistry) {
@@ -610,23 +571,11 @@ detail::RegistryLayout detail::parse_registry_layout(
     r.fail(SerializeErrc::kTruncated, "name index payload truncated");
   }
   // Index integrity: CRC over section header + padded payload.
-  {
-    ByteReader t(index_region.subspan(static_cast<std::size_t>(index_bytes),
-                                      kRecordTrailerBytes),
-                 "index trailer");
-    if (t.u32() != kTagCrcTrailer) {
-      t.fail(SerializeErrc::kBadTag, "missing index CRC trailer");
-    }
-    const std::uint32_t stored = t.u32();
-    if (t.u64() != 0) {
-      t.fail(SerializeErrc::kBadValue, "nonzero trailer reserved bytes");
-    }
-    const std::uint32_t computed = util::crc32(
-        index_region.first(static_cast<std::size_t>(index_bytes)));
-    if (stored != computed) {
-      t.fail(SerializeErrc::kBadCrc, "index checksum mismatch");
-    }
-  }
+  check_crc_trailer(
+      index_region.first(static_cast<std::size_t>(index_bytes)),
+      index_region.subspan(static_cast<std::size_t>(index_bytes),
+                           kRecordTrailerBytes),
+      "index");
   ByteReader p(index_region.subspan(kSectionHeaderBytes,
                                     static_cast<std::size_t>(payload_len)),
                "name index payload");
@@ -650,9 +599,8 @@ detail::RegistryLayout detail::parse_registry_layout(
   }
   const std::string_view blob =
       p.str(p.remaining(), "name blob");
-  RegistryLayout layout;
-  layout.version = info.version;
-  layout.entries.reserve(raw.size());
+  std::vector<RegistryEntry> entries;
+  entries.reserve(raw.size());
   std::unordered_set<std::string_view> seen;
   for (const RawEntry& e : raw) {
     if (e.offset < kFileHeaderBytes || e.offset % 8 != 0 ||
@@ -675,31 +623,18 @@ detail::RegistryLayout detail::parse_registry_layout(
       fail(SerializeErrc::kDuplicateName,
            "duplicate registry name '" + std::string(name) + "'");
     }
-    layout.entries.push_back({e.hash, e.offset, e.len, name});
+    entries.push_back({e.hash, e.offset, e.len, name});
   }
-  return layout;
+  return entries;
 }
 
 core::UserRegistry load_user_registry_binary(std::istream& is) {
-  const std::vector<std::uint8_t> bytes = slurp(is);
-  const detail::RegistryLayout layout = detail::parse_registry_layout(bytes);
+  const MappedRegistry store(MappedFile::own(slurp(is)));
   core::UserRegistry registry;
-  for (const auto& entry : layout.entries) {
-    const std::span<const std::uint8_t> record =
-        std::span<const std::uint8_t>(bytes).subspan(
-            static_cast<std::size_t>(entry.offset),
-            static_cast<std::size_t>(entry.len));
-    registry.add(std::string(entry.name),
-                 materialize_user(
-                     parse_user_record(record, /*verify_crc=*/true)));
+  for (const std::string_view name : store.names()) {
+    registry.add(std::string(name), *store.find(name));
   }
   return registry;
-}
-
-core::UserRegistry load_user_registry_binary_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail(SerializeErrc::kIoError, "cannot open " + path);
-  return load_user_registry_binary(in);
 }
 
 FileKind probe_file_kind(std::istream& is) {

@@ -1,4 +1,4 @@
-// Internal helpers shared by the eager binary loader and MappedRegistry.
+// Internal helpers shared by the binary codec and MappedRegistry.
 // Not part of the public io API surface.
 #pragma once
 
@@ -11,23 +11,21 @@
 
 namespace p2auth::io::detail {
 
-struct RegistryLayout {
-  struct Entry {
-    std::uint64_t hash = 0;    // fnv1a64(name), as stored in the index
-    std::uint64_t offset = 0;  // record offset from the file start
-    std::uint64_t len = 0;     // record length in bytes
-    std::string_view name;     // borrows the index name blob
-  };
-  std::uint32_t version = 0;
-  std::vector<Entry> entries;
+// One name-index entry: where a user's record lives in the file.
+struct RegistryEntry {
+  std::uint64_t hash = 0;    // fnv1a64(name), as stored in the index
+  std::uint64_t offset = 0;  // record offset from the file start
+  std::uint64_t len = 0;     // record length in bytes
+  std::string_view name;     // borrows the index name blob
 };
 
 // Validates the file header + name index of a registry image (header
-// fields, index CRC, per-entry bounds, duplicate names) and returns the
-// record table.  Entry names borrow `file` — it must stay alive.
+// fields, index CRC, per-entry bounds, duplicate names) and returns its
+// entries in file order.  Entry names borrow `file` — it must stay alive.
 // Touches only the header and index bytes, never the records, so an
 // mmap-backed caller keeps the record arena cold.  Throws
 // util::SerializeError.
-RegistryLayout parse_registry_layout(std::span<const std::uint8_t> file);
+std::vector<RegistryEntry> parse_registry_index(
+    std::span<const std::uint8_t> file);
 
 }  // namespace p2auth::io::detail

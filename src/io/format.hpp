@@ -43,8 +43,8 @@
 // the 40-byte header, so opening a 100k-user store faults in a few MB of
 // index pages while the record arena stays cold until a user is actually
 // looked up — that is what bounds resident memory.  Per-record CRC
-// trailers are verified lazily (on materialize / verify), following the
-// tag+CRC trailer design of HyperStream's HSER1 format.
+// trailers are verified lazily (by the decoder, on each lookup),
+// following the tag+CRC trailer design of HyperStream's HSER1 format.
 #pragma once
 
 #include <cstdint>

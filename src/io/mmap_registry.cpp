@@ -3,9 +3,9 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <stdexcept>
 #include <utility>
 
+#include "io/binary.hpp"
 #include "util/serialize.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -45,7 +45,7 @@ MappedFile::MappedFile(MappedFile&& other) noexcept
     : data_(other.data_),
       size_(other.size_),
       mapped_(other.mapped_),
-      fallback_(std::move(other.fallback_)) {
+      owned_(std::move(other.owned_)) {
   other.data_ = nullptr;
   other.size_ = 0;
   other.mapped_ = false;
@@ -61,7 +61,7 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
     data_ = other.data_;
     size_ = other.size_;
     mapped_ = other.mapped_;
-    fallback_ = std::move(other.fallback_);
+    owned_ = std::move(other.owned_);
     other.data_ = nullptr;
     other.size_ = 0;
     other.mapped_ = false;
@@ -70,8 +70,8 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
 }
 
 MappedFile MappedFile::open(const std::string& path) {
-  MappedFile f;
 #if P2AUTH_HAVE_MMAP
+  MappedFile f;
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     fail_io("cannot open " + path + ": " + std::strerror(errno));
@@ -95,6 +95,7 @@ MappedFile MappedFile::open(const std::string& path) {
   }
   f.size_ = size;
   ::close(fd);  // the mapping outlives the descriptor
+  return f;
 #else
   std::ifstream in(path, std::ios::binary);
   if (!in) fail_io("cannot open " + path);
@@ -102,50 +103,56 @@ MappedFile MappedFile::open(const std::string& path) {
   const std::streampos end = in.tellg();
   in.seekg(0, std::ios::beg);
   if (end < 0) fail_io("cannot size " + path);
-  f.fallback_.resize(static_cast<std::size_t>(end));
-  if (!f.fallback_.empty() &&
-      !in.read(reinterpret_cast<char*>(f.fallback_.data()),
-               static_cast<std::streamsize>(f.fallback_.size()))) {
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(end));
+  if (!bytes.empty() &&
+      !in.read(reinterpret_cast<char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()))) {
     fail_io("read failed: " + path);
   }
-  f.data_ = f.fallback_.data();
-  f.size_ = f.fallback_.size();
+  return own(std::move(bytes));
 #endif
+}
+
+MappedFile MappedFile::own(std::vector<std::uint8_t> bytes) {
+  MappedFile f;
+  f.owned_ = std::move(bytes);
+  f.data_ = f.owned_.data();
+  f.size_ = f.owned_.size();
   return f;
 }
 
 // ---- MappedRegistry ---------------------------------------------------
 
-MappedRegistry MappedRegistry::open(const std::string& path) {
-  MappedRegistry reg;
-  reg.file_ = MappedFile::open(path);
-  reg.layout_ = detail::parse_registry_layout(reg.file_.bytes());
-
+MappedRegistry::MappedRegistry(MappedFile file)
+    : file_(std::move(file)),
+      entries_(detail::parse_registry_index(file_.bytes())) {
   // Next power of two >= 2N slots (minimum 2) keeps the load factor
   // at or below 0.5, so linear probes stay short.
   std::size_t slot_count = 2;
-  while (slot_count < reg.layout_.entries.size() * 2) slot_count *= 2;
-  reg.slots_.assign(slot_count, 0);
-  reg.slot_mask_ = slot_count - 1;
-  for (std::size_t i = 0; i < reg.layout_.entries.size(); ++i) {
-    std::uint64_t slot = reg.layout_.entries[i].hash & reg.slot_mask_;
-    while (reg.slots_[static_cast<std::size_t>(slot)] != 0) {
-      slot = (slot + 1) & reg.slot_mask_;
+  while (slot_count < entries_.size() * 2) slot_count *= 2;
+  slots_.assign(slot_count, 0);
+  slot_mask_ = slot_count - 1;
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    std::uint64_t slot = entries_[i].hash & slot_mask_;
+    while (slots_[static_cast<std::size_t>(slot)] != 0) {
+      slot = (slot + 1) & slot_mask_;
     }
-    reg.slots_[static_cast<std::size_t>(slot)] =
-        static_cast<std::uint32_t>(i + 1);
+    slots_[static_cast<std::size_t>(slot)] = static_cast<std::uint32_t>(i + 1);
   }
-  return reg;
+}
+
+MappedRegistry MappedRegistry::open(const std::string& path) {
+  return MappedRegistry(MappedFile::open(path));
 }
 
 std::size_t MappedRegistry::lookup(std::string_view name) const noexcept {
-  if (layout_.entries.empty()) return npos;
+  if (entries_.empty()) return npos;
   const std::uint64_t hash = fnv1a64(name);
   std::uint64_t slot = hash & slot_mask_;
   while (true) {
     const std::uint32_t v = slots_[static_cast<std::size_t>(slot)];
     if (v == 0) return npos;
-    const detail::RegistryLayout::Entry& e = layout_.entries[v - 1];
+    const detail::RegistryEntry& e = entries_[v - 1];
     if (e.hash == hash && e.name == name) return v - 1;
     slot = (slot + 1) & slot_mask_;
   }
@@ -157,42 +164,18 @@ bool MappedRegistry::contains(std::string_view name) const noexcept {
 
 std::vector<std::string_view> MappedRegistry::names() const {
   std::vector<std::string_view> out;
-  out.reserve(layout_.entries.size());
-  for (const auto& e : layout_.entries) out.push_back(e.name);
+  out.reserve(entries_.size());
+  for (const auto& e : entries_) out.push_back(e.name);
   return out;
 }
 
-std::span<const std::uint8_t> MappedRegistry::record_bytes(
-    std::size_t entry) const {
-  const detail::RegistryLayout::Entry& e = layout_.entries[entry];
-  return file_.bytes().subspan(static_cast<std::size_t>(e.offset),
-                               static_cast<std::size_t>(e.len));
-}
-
-std::optional<MappedUser> MappedRegistry::find(std::string_view name,
-                                               bool verify_crc) const {
+std::optional<core::EnrolledUser> MappedRegistry::find(
+    std::string_view name) const {
   const std::size_t i = lookup(name);
   if (i == npos) return std::nullopt;
-  return parse_user_record(record_bytes(i), verify_crc);
-}
-
-MappedUser MappedRegistry::at(std::string_view name, bool verify_crc) const {
-  const std::size_t i = lookup(name);
-  if (i == npos) {
-    throw std::invalid_argument("MappedRegistry: unknown user '" +
-                                std::string(name) + "'");
-  }
-  return parse_user_record(record_bytes(i), verify_crc);
-}
-
-core::EnrolledUser MappedRegistry::materialize(std::string_view name) const {
-  return materialize_user(at(name));
-}
-
-void MappedRegistry::verify_all() const {
-  for (std::size_t i = 0; i < layout_.entries.size(); ++i) {
-    parse_user_record(record_bytes(i), /*verify_crc=*/true);
-  }
+  return decode_user_record(
+      file_.bytes().subspan(static_cast<std::size_t>(entries_[i].offset),
+                            static_cast<std::size_t>(entries_[i].len)));
 }
 
 }  // namespace p2auth::io

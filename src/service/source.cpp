@@ -15,7 +15,7 @@ MappedRegistrySource::MappedRegistrySource(
 std::optional<core::EnrolledUser> MappedRegistrySource::load(
     std::string_view name) {
   for (const io::MappedRegistry& store : stores_) {
-    if (store.contains(name)) return store.materialize(name);
+    if (std::optional<core::EnrolledUser> user = store.find(name)) return user;
   }
   return std::nullopt;
 }

@@ -2,7 +2,7 @@
 //
 // The production source is one or more P2MDL001 mmap stores
 // (io::MappedRegistry): open touches only header + name index, and a
-// cache miss deep-copies one record into an owning EnrolledUser.  The
+// cache miss decodes one record into an owning EnrolledUser.  The
 // in-memory source backs tests and benches that enroll users on the fly.
 #pragma once
 

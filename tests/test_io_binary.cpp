@@ -5,6 +5,7 @@
 #include <array>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -139,51 +140,20 @@ TEST(IoBinary, FileWriterMatchesStreamWriterByteForByte) {
   EXPECT_EQ(file_bytes.str(), ss.str());
 }
 
-TEST(IoBinary, ZeroCopyViewMatchesSource) {
-  const EnrolledUser user = fixture_user();
-  const std::vector<std::uint8_t> record = build_user_record(user);
-  const MappedUser view = parse_user_record(record, /*verify_crc=*/true);
-
-  EXPECT_EQ(view.pin, user.pin.digits());
-  EXPECT_EQ(view.user_id, user.user_id);
-  EXPECT_TRUE(view.privacy_boost);
-  EXPECT_EQ(view.stats.full_positives, user.stats.full_positives);
-  EXPECT_EQ(view.stats.key_models_trained, user.stats.key_models_trained);
-  ASSERT_TRUE(view.full_model.has_value());
-  ASSERT_TRUE(view.boost_model.has_value());
-  ASSERT_TRUE(view.key_models[1].has_value());  // pin starts with '1'
-  EXPECT_FALSE(view.key_models[0].has_value());
-
-  const core::WaveformModel& model = *user.full_model;
-  const MappedWaveformModel& mapped = *view.full_model;
-  EXPECT_EQ(mapped.threshold, model.threshold());
-  ASSERT_EQ(mapped.channels.size(), model.rocket().num_channels());
-  const ml::MiniRocket& ch = model.rocket().channel(0);
-  ASSERT_EQ(mapped.channels[0].dilations.size(), ch.dilations().size());
-  for (std::size_t i = 0; i < ch.dilations().size(); ++i) {
-    EXPECT_EQ(mapped.channels[0].dilations[i], ch.dilations()[i]);
-  }
-  ASSERT_EQ(mapped.channels[0].biases.size(), ch.biases().size());
-  for (std::size_t i = 0; i < ch.biases().size(); ++i) {
-    EXPECT_EQ(mapped.channels[0].biases[i], ch.biases()[i]);
-  }
-  // The spans must point into the record, not at copies.
-  const auto* lo = record.data();
-  const auto* hi = record.data() + record.size();
-  const auto* bias_ptr =
-      reinterpret_cast<const std::uint8_t*>(mapped.channels[0].biases.data());
-  EXPECT_GE(bias_ptr, lo);
-  EXPECT_LT(bias_ptr, hi);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(bias_ptr) % 8, 0u);
-
-  // The mapped ridge holds the owning classifier's exact bits.
-  EXPECT_EQ(mapped.ridge.bias, model.ridge().bias());
-  EXPECT_EQ(mapped.ridge.lambda, model.ridge().chosen_lambda());
-  const linalg::Vector& weights = model.ridge().weights();
-  ASSERT_EQ(mapped.ridge.weights.size(), weights.size());
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    EXPECT_EQ(mapped.ridge.weights[i], weights[i]) << "weight " << i;
-  }
+// The writer back-patches the index offset relative to where the image
+// starts, and leaves the stream at its end.
+TEST(IoBinary, RegistryWriterPatchesWhereTheImageStarts) {
+  const UserRegistry registry = testing::make_test_registry();
+  std::stringstream ss;
+  ss << "prefix";
+  save_user_registry_binary(registry, ss);
+  ss << "suffix";
+  const std::string written = ss.str();
+  const std::string image = bytes_of(registry);
+  ASSERT_EQ(written.size(), 6 + image.size() + 6);
+  EXPECT_EQ(written.substr(6, image.size()), image);
+  std::stringstream in(image);
+  EXPECT_EQ(bytes_of(load_user_registry_binary(in)), image);
 }
 
 TEST(IoBinary, MappedRegistryLookupAndMaterialize) {
@@ -197,8 +167,6 @@ TEST(IoBinary, MappedRegistryLookupAndMaterialize) {
   EXPECT_TRUE(mapped.contains("carol"));
   EXPECT_FALSE(mapped.contains("mallory"));
   EXPECT_FALSE(mapped.find("mallory").has_value());
-  EXPECT_THROW(mapped.at("mallory"), std::invalid_argument);
-  EXPECT_NO_THROW(mapped.verify_all());
 
   const auto names = mapped.names();
   ASSERT_EQ(names.size(), 3u);
@@ -206,9 +174,43 @@ TEST(IoBinary, MappedRegistryLookupAndMaterialize) {
 
   UserRegistry rebuilt;
   for (const std::string_view name : names) {
-    rebuilt.add(std::string(name), mapped.materialize(name));
+    std::optional<EnrolledUser> user = mapped.find(name);
+    ASSERT_TRUE(user.has_value()) << name;
+    rebuilt.add(std::string(name), std::move(*user));
   }
   EXPECT_EQ(bytes_of(rebuilt), bytes_of(registry));
+}
+
+// A flipped byte fails its own checksum: inside a record on that
+// record's lookup (the open validates only the index), inside the name
+// index at open.
+TEST(IoBinary, CorruptRecordAndIndexFailTheirChecksums) {
+  std::ostringstream os;
+  save_user_registry_binary(testing::make_test_registry(), os);
+  const std::string good = os.str();
+  const auto expect_bad_crc = [](const std::string& image,
+                                 const std::string& what, auto&& load) {
+    TempFile tmp("io_corrupt_registry.p2mdl");
+    std::ofstream(tmp.path, std::ios::binary) << image;
+    try {
+      load(MappedRegistry::open(tmp.path));
+      FAIL() << what << " corruption went unnoticed";
+    } catch (const SerializeError& e) {
+      EXPECT_EQ(e.code(), SerializeErrc::kBadCrc) << e.what();
+      EXPECT_NE(std::string(e.what()).find(what + " checksum mismatch"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  std::string bad_record = good;
+  bad_record[kFileHeaderBytes + 160] ^= 0x01;  // alice's first model
+  expect_bad_crc(bad_record, "record", [](const MappedRegistry& store) {
+    EXPECT_TRUE(store.find("bob").has_value());
+    (void)store.find("alice");
+  });
+  std::string bad_index = good;
+  bad_index[good.size() - 20] ^= 0x01;  // the index's name blob
+  expect_bad_crc(bad_index, "index", [](const MappedRegistry&) {});
 }
 
 TEST(IoBinary, ProbeFileKindDistinguishesStores) {

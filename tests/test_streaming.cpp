@@ -328,6 +328,23 @@ TEST(Streaming, BufferOverflowRejectsLoudly) {
   EXPECT_FALSE(auth.poll().has_value());
 }
 
+// A PIN is at most kMaxPinDigits keystrokes (the longest the model store
+// holds).  A keystroke past it is dropped and the attempt rejects as an
+// overflow on the next poll, even before any PPG has arrived.
+TEST(Streaming, OverlongPinRejectsAsOverflow) {
+  const Enrolled& f = fixture();
+  StreamingAuthenticator auth(f.user, 100.0, 4);
+  for (std::size_t i = 0; i <= kMaxPinDigits; ++i) {
+    auth.push_keystroke('1', 0.1 * static_cast<double>(i));
+  }
+  EXPECT_EQ(auth.num_keystrokes(), kMaxPinDigits);
+  const auto result = auth.poll();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->accepted);
+  EXPECT_EQ(result->reason, RejectReason::kBufferOverflow);
+  EXPECT_EQ(auth.num_keystrokes(), 0u);
+}
+
 // Samples are buffered as the sensor sent them, so a channel that
 // delivers non-finite readings is judged exactly as the batch API judges
 // the same samples: gating masks the channel and the strict policy
